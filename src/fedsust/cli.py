@@ -10,10 +10,12 @@ error prints a single machine-parsable line to stderr of the form
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, FederationConfig, load_scenario
+from .config import ConfigError, load_scenario
 from .fedsim import run_federation
 from .refdata import ReferenceDataError, ReferenceTables
 from .report import (
@@ -27,6 +29,7 @@ from .report import (
     write_atomic,
 )
 from .scoring import (
+    WEIGHT_SUM_TOL,
     ScoreError,
     ScoreNode,
     aggregate,
@@ -56,10 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ScoreError, FactSheetError) as exc:
+    except (ConfigError, ScoreError, FactSheetError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ReferenceDataError as exc:
@@ -102,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the federation loop and track emissions")
     common(p_sim)
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="threads for client phases within a round (default 1)")
+                       help="accepted for compatibility (must be >= 1); has no effect, "
+                            "the simulator runs serially")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="score two scenarios and rank them")
@@ -112,23 +113,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args, config_path: str):
-    tables = ReferenceTables.load()
+def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
+    """Parse, score and weight one scenario: the pipeline of every command.
+
+    Applies ``--seed``, splits the weight file into tree and pillar weights,
+    scores the sustainability pillar, loads the ``which``-th ``--pillars``
+    file (the last one when fewer are given) and takes the trust-weight
+    subset. Returns ``(config, scored pillar, externals, trust weights)``;
+    the last two are ``None`` without ``--pillars``.
+    """
     config = load_scenario(config_path)
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
             raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {args.seed}")
-        config = _with_seed(config, args.seed)
+        config = replace(config, seed=args.seed)
     weights = load_weight_config(args.weights) if args.weights else {}
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}
-    return tables, config, tree_weights, pillar_weights
-
-
-def _with_seed(config: FederationConfig, seed: int) -> FederationConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
+    scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
+    externals = None
+    if args.pillars:
+        externals = load_pillar_fixture(args.pillars[min(which, len(args.pillars) - 1)])
+    trust_w = None
+    if externals:
+        trust_w = _trust_weights(pillar_weights, sorted([*externals, PILLAR_ID]), args.allow_partial)
+    return config, scored, externals, trust_w
 
 
 def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
@@ -152,21 +161,14 @@ def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
     return aggregate(node, overrides=config.score_overrides, allow_partial=allow_partial)
 
 
-def _externals(args, which: int = 0) -> dict[str, float] | None:
-    if not args.pillars:
-        return None
-    paths = args.pillars
-    path = paths[which] if which < len(paths) else paths[-1]
-    return load_pillar_fixture(path)
-
-
 def _trust_weights(
     pillar_weights: dict[str, float], pillar_ids, allow_partial: bool = False
 ) -> dict[str, float] | None:
     """Subset of the weight file's pillar weights for the pillars present.
 
-    The subset must sum to 1; with ``allow_partial`` it is renormalized
-    instead (covering weight files written for more pillars than supplied).
+    The subset must sum to 1 under scoring's rule (``math.fsum`` within
+    ``WEIGHT_SUM_TOL``); with ``allow_partial`` it is renormalized instead
+    (covering weight files written for more pillars than supplied).
     """
     if not pillar_weights:
         return None
@@ -174,8 +176,8 @@ def _trust_weights(
     if missing:
         raise ScoreError(f"weight file lacks pillar weights for: {', '.join(missing)}")
     subset = {p: pillar_weights[p] for p in pillar_ids}
-    total = sum(subset.values())
-    if abs(total - 1.0) > 1e-9:
+    total = math.fsum(subset.values())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         if not allow_partial:
             raise ScoreError(
                 f"pillar weights for {', '.join(pillar_ids)} sum to {total!r}; "
@@ -187,43 +189,34 @@ def _trust_weights(
     return subset
 
 
+def _print_scores(report: dict) -> None:
+    print(f"sustainability: {report['pillars'][PILLAR_ID]['score']}")
+    print(f"trust: {report['trust']['score'] if report['trust'] else 'n/a (no external pillars)'}")
+
+
 def cmd_validate(args) -> int:
-    tables, config, tree_weights, _ = _load_inputs(args, args.config)
-    _score_pillar(config, tables, tree_weights, args.allow_partial)
-    if args.pillars:
-        _externals(args)
+    config, _, _, _ = _evaluate(args, ReferenceTables.load(), args.config)
     print(f"ok: scenario '{config.name}' is valid")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    tables, config, tree_weights, pillar_weights = _load_inputs(args, args.config)
-    scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-    externals = _externals(args)
-    trust_w = None
-    if externals:
-        trust_w = _trust_weights(pillar_weights, sorted([*externals, PILLAR_ID]), args.allow_partial)
+    config, scored, externals, trust_w = _evaluate(args, ReferenceTables.load(), args.config)
     report = build_trust_report(config, scored, externals, emissions_summary=None,
                                 pillar_weights=trust_w)
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
-    print(f"sustainability: {report['pillars'][PILLAR_ID]['score']}")
-    print(f"trust: {report['trust']['score'] if report['trust'] else 'n/a (no external pillars)'}")
+    _print_scores(report)
     print(f"wrote: {out / 'trust_report.json'}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    tables, config, tree_weights, pillar_weights = _load_inputs(args, args.config)
     if args.workers < 1:
         raise ConfigError(f"field 'workers' must be >= 1, got {args.workers}")
-    scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-    externals = _externals(args)
-    trust_w = None
-    if externals:
-        trust_w = _trust_weights(pillar_weights, sorted([*externals, PILLAR_ID]), args.allow_partial)
-
-    state = run_federation(config, tables, workers=args.workers)
+    tables = ReferenceTables.load()
+    config, scored, externals, trust_w = _evaluate(args, tables, args.config)
+    state = run_federation(config, tables)
     factsheet = populate_factsheet(config, state, config.statistics or None, strict=False)
     report = build_trust_report(
         config, scored, externals,
@@ -235,8 +228,7 @@ def cmd_simulate(args) -> int:
     write_atomic(out / "trust_report.json", render_report(report))
     write_atomic(out / "factsheet.json", render_report(factsheet.as_dict()))
     state.emissions.write_csv(out / "emissions.csv")
-    print(f"sustainability: {report['pillars'][PILLAR_ID]['score']}")
-    print(f"trust: {report['trust']['score'] if report['trust'] else 'n/a (no external pillars)'}")
+    _print_scores(report)
     print(f"estimated emissions: {state.emissions.total_co2eq_g():.6g} gCO2eq "
           f"over {len(state.emissions)} records")
     print(f"wrote: {out / 'trust_report.json'}, {out / 'factsheet.json'}, {out / 'emissions.csv'}")
@@ -246,14 +238,12 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.config) != 2:
         raise ConfigError(f"compare needs exactly two --config arguments, got {len(args.config)}")
+    tables = ReferenceTables.load()
     sides = []
     for i, config_path in enumerate(args.config):
-        tables, config, tree_weights, pillar_weights = _load_inputs(args, config_path)
-        scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-        externals = _externals(args, which=i)
+        config, scored, externals, trust_w = _evaluate(args, tables, config_path, which=i)
         if not externals:
             raise ConfigError("compare needs external pillar scores; pass --pillars")
-        trust_w = _trust_weights(pillar_weights, sorted([*externals, PILLAR_ID]), args.allow_partial)
         report = build_trust_report(config, scored, externals, pillar_weights=trust_w)
         ext_ids = sorted(externals)
         trust_without = trust_score(

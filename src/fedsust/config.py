@@ -131,12 +131,20 @@ def load_scenario(path: str | Path) -> FederationConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"scenario file {path} must contain a JSON object")
     return parse_config(data, default_name=path.stem)
+
+
+def _finite_number(text: str) -> float:
+    # JSON has no NaN or Infinity; Python's parser takes them, and 1e999 overflows
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig:

@@ -123,6 +123,9 @@ class EmissionsLog:
 
     ``add`` keeps running totals; ``total_co2eq_g``/``total_energy_kwh``
     recompute from the records so the two views cross-check each other.
+    Totals and groupings ``math.fsum`` the records in insertion order:
+    ``fsum`` is exactly rounded, so no order can change them. Only the CSV
+    is sorted.
     """
 
     def __init__(self) -> None:
@@ -134,10 +137,6 @@ class EmissionsLog:
         self._records.append(record)
         self._running_energy += record.energy_kwh
         self._running_co2 += record.co2eq_g
-
-    def extend(self, records) -> None:
-        for record in records:
-            self.add(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -155,10 +154,10 @@ class EmissionsLog:
         )
 
     def total_energy_kwh(self) -> float:
-        return math.fsum(r.energy_kwh for r in self.sorted_records())
+        return math.fsum(r.energy_kwh for r in self._records)
 
     def total_co2eq_g(self) -> float:
-        return math.fsum(r.co2eq_g for r in self.sorted_records())
+        return math.fsum(r.co2eq_g for r in self._records)
 
     def running_totals(self) -> tuple[float, float]:
         """(energy kWh, CO2eq g) accumulated record by record at add time."""
@@ -167,7 +166,7 @@ class EmissionsLog:
     def co2eq_by(self, key) -> dict:
         """Group CO2eq grams by ``key(record)`` (e.g. ``lambda r: r.phase``)."""
         groups: dict = {}
-        for record in self.sorted_records():
+        for record in self._records:
             groups.setdefault(key(record), []).append(record.co2eq_g)
         return {k: math.fsum(v) for k, v in groups.items()}
 

@@ -3,8 +3,10 @@
 No real learning happens here. Each round the server draws a client subset,
 every drawn client produces a hash-derived perturbation of the broadcast
 model vector, the server averages the updates, and every phase is priced by
-the TDP-based emissions estimator. Outputs are bit-reproducible functions of
-``(config, seed)``, including under internal parallelism.
+the TDP-based emissions estimator. Rounds and the clients within a round run
+serially in one thread; every random draw is keyed by the seed and a round
+or client index rather than by call order, so outputs are bit-reproducible
+functions of ``(config, seed)``.
 
 Client selection stream
 -----------------------
@@ -32,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,17 +109,18 @@ def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) 
     return tuple(sorted(idx[:sample_size]))
 
 
-def aggregate_model(updates: list[np.ndarray]) -> np.ndarray:
-    """Element-wise arithmetic mean of equal-length parameter vectors."""
-    if not updates:
-        raise SimulationError("cannot aggregate an empty update list")
-    length = len(updates[0])
-    for i, update in enumerate(updates):
-        if len(update) != length:
-            raise SimulationError(
-                f"update {i} has length {len(update)}, expected {length}"
-            )
-    stacked = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
+def aggregate_model(updates) -> np.ndarray:
+    """Element-wise arithmetic mean of equal-length parameter vectors.
+
+    ``updates`` is a sequence of vectors or an ``(m, L)`` array, one update
+    per row.
+    """
+    try:
+        stacked = np.asarray(updates, dtype=np.float64)
+    except ValueError:
+        raise SimulationError("updates must be equal-length vectors") from None
+    if stacked.ndim != 2 or not len(stacked):
+        raise SimulationError(f"expected a non-empty list of vectors, got shape {stacked.shape}")
     return stacked.mean(axis=0)
 
 
@@ -240,23 +242,16 @@ def _round_deltas(seed: int, round_index: int, count: int, length: int) -> np.nd
     return gen.uniform(-_PERTURBATION_STEP, _PERTURBATION_STEP, size=(count, length))
 
 
-def run_federation(
-    config: FederationConfig,
-    tables: ReferenceTables | None = None,
-    workers: int = 1,
-) -> FederationState:
+def run_federation(config: FederationConfig, tables: ReferenceTables | None = None) -> FederationState:
     """Execute the orchestration loop for ``config.total_rounds`` rounds.
 
-    Per round: draw ``sample_size`` clients without replacement, perturb the
-    broadcast model once per drawn client, track a training record per drawn
-    client (plus a communication record when communication energy is priced),
-    average the updates, and track one server aggregation record. Client
-    phases within a round may run on ``workers`` threads; rounds are a strict
-    barrier, and all accumulation is merged in client order, so results do
-    not depend on ``workers``.
+    Per round, serially: draw ``sample_size`` clients without replacement,
+    track a training record per drawn client (plus a communication record
+    when communication energy is priced), average the broadcast model plus
+    one perturbation row per drawn client, and track one server aggregation
+    record. Every random draw is keyed by the seed and a round or client
+    index, so results depend on nothing but ``(config, seed)``.
     """
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
     tables = tables or ReferenceTables.load()
 
     n = config.num_clients
@@ -289,69 +284,50 @@ def run_federation(
     agg_time = _agg_duration(config)
     comm_bytes = 8.0 * config.model_size  # one upload + one download at 4 bytes/parameter
     em = config.energy_model
-
+    comm_energy = em.comm_energy_per_byte * comm_bytes
     training_seconds: dict[int, float] = {c: 0.0 for c in range(n)}
 
-    def client_phase(round_index: int, client: int):
-        records = []
-        rec = track_phase(
-            _RecordSink(records),
-            node_id=hash_client_id(salt, client),
-            role="client",
-            phase="training",
-            round_index=round_index,
-            model=em,
-            hardware=client_hw[client],
-            duration_s=train_time,
-            intensity=client_intensity[client],
-        )
-        if em.comm_energy_per_byte > 0.0:
-            energy = em.comm_energy_per_byte * comm_bytes
-            records.append(
-                EmissionRecord(
+    for t in range(1, config.total_rounds + 1):
+        selected = sample_clients(n, m, SelectionStream(seed, t))
+        for client in selected:
+            selection_counts[client] += 1
+            training_seconds[client] += train_time
+            rec = track_phase(
+                log,
+                node_id=hash_client_id(salt, client),
+                role="client",
+                phase="training",
+                round_index=t,
+                model=em,
+                hardware=client_hw[client],
+                duration_s=train_time,
+                intensity=client_intensity[client],
+            )
+            if comm_energy > 0.0:
+                log.add(EmissionRecord(
                     node_id=rec.node_id,
                     role="client",
                     phase="communication",
-                    round=round_index,
+                    round=t,
                     duration_s=0.0,
-                    energy_kwh=energy,
+                    energy_kwh=comm_energy,
                     intensity=client_intensity[client],
-                    co2eq_g=energy_to_co2(energy, client_intensity[client]),
-                )
-            )
-        return records
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for t in range(1, config.total_rounds + 1):
-            selected = sample_clients(n, m, SelectionStream(seed, t))
-            deltas = _round_deltas(seed, t, len(selected), length)
-            updates = [model + deltas[i] for i in range(len(selected))]
-            if pool is not None:
-                results = list(pool.map(lambda c: client_phase(t, c), selected))
-            else:
-                results = [client_phase(t, c) for c in selected]
-            for client, records in zip(selected, results):
-                selection_counts[client] += 1
-                training_seconds[client] += train_time
-                log.extend(records)
-            model = aggregate_model(updates)
-            if not np.all(np.isfinite(model)):
-                raise SimulationError(f"model vector became non-finite in round {t}")
-            track_phase(
-                log,
-                node_id="server",
-                role="server",
-                phase="aggregation",
-                round_index=t,
-                model=em,
-                hardware=server_hw,
-                duration_s=agg_time,
-                intensity=server_intensity,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    co2eq_g=energy_to_co2(comm_energy, client_intensity[client]),
+                ))
+        model = aggregate_model(model + _round_deltas(seed, t, len(selected), length))
+        if not np.all(np.isfinite(model)):
+            raise SimulationError(f"model vector became non-finite in round {t}")
+        track_phase(
+            log,
+            node_id="server",
+            role="server",
+            phase="aggregation",
+            round_index=t,
+            model=em,
+            hardware=server_hw,
+            duration_s=agg_time,
+            intensity=server_intensity,
+        )
 
     statistics = {
         c: ClientStatistics(
@@ -375,13 +351,3 @@ def run_federation(
         client_hardware=hardware_names,
         statistics=statistics,
     )
-
-
-class _RecordSink:
-    """Adapter so track_phase can append into a per-client list."""
-
-    def __init__(self, records: list):
-        self._records = records
-
-    def add(self, record) -> None:
-        self._records.append(record)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -69,7 +68,9 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a temp file and rename; never a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # os.open applies the umask to 0o666, as open(path, "wb") would; mkstemp gives 0o600
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -344,7 +345,8 @@ def _check_self_consistency(report: dict) -> None:
 
 def render_report(report: dict) -> bytes:
     """Canonical bytes of a report mapping: sorted keys, trailing newline."""
-    return (json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def emissions_summary(state: FederationState) -> dict:

@@ -9,10 +9,6 @@ Three notions make up the pillar:
 * federation complexity -- six raw configuration scalars (global rounds,
   clients, selection rate, local rounds, dataset size, model size).
 
-The carbon and hardware assessments also expose a ``total`` (server value
-plus client average) for reporting; scoring uses the two metrics normalized
-separately, which is what the notion scores are built from.
-
 Default weights: metrics weigh equally within a notion; the notions weigh
 0.5 (carbon) / 0.25 (hardware) / 0.25 (complexity) within the pillar. All
 weights can be replaced through a weight file (see
@@ -65,7 +61,6 @@ class CarbonIntensityAssessment:
 
     client_avg: float
     server: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,6 @@ class HardwareAssessment:
 
     client_avg_pp: float
     server_pp: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def assess_carbon(
         for share, loc in config.client_locations
     )
     server = grid.lookup_intensity(_resolve(config.server_location, grid, locations))
-    return CarbonIntensityAssessment(client_avg=client_avg, server=server, total=server + client_avg)
+    return CarbonIntensityAssessment(client_avg=client_avg, server=server)
 
 
 def _resolve(location: str, grid: GridIntensityTable, locations: LocationResolver | None) -> str:
@@ -116,7 +110,7 @@ def assess_hardware(config: FederationConfig, hardware: HardwareTable) -> Hardwa
         for share, model in config.client_hardware
     )
     server = hardware.lookup(config.server_hardware).power_performance
-    return HardwareAssessment(client_avg_pp=client_avg, server_pp=server, total=server + client_avg)
+    return HardwareAssessment(client_avg_pp=client_avg, server_pp=server)
 
 
 def assess_complexity(config: FederationConfig) -> ComplexityAssessment:

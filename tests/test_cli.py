@@ -1,6 +1,8 @@
 """Tests for the command-line interface: commands, exit codes, outputs."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -94,6 +96,21 @@ class TestValidate:
             v_code, _, _ = run(capsys, "validate", "--config", str(p))
             s_code, _, _ = run(capsys, "score", "--config", str(p), "--out", str(tmp_path / f"o{i}"))
             assert (v_code == 0) == (s_code == 0), data
+
+    def test_validate_score_reject_the_same_pillar_weights(self, capsys, tmp_path, uc, pillars):
+        # seven pillar weights summing to 1.9: one weight-sum rule for every command
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({
+            "sustainability": 0.7, "privacy": 0.2, "robustness": 0.2, "fairness": 0.2,
+            "explainability": 0.2, "accountability": 0.2, "federation": 0.2,
+        }))
+        argv = ["--config", uc("proposal_b"), "--weights", str(w),
+                "--pillars", pillars("proposal_b")]
+        s_code, _, s_err = run(capsys, "score", *argv, "--out", str(tmp_path / "out"))
+        v_code, v_out, v_err = run(capsys, "validate", *argv)
+        assert s_code == v_code == 1
+        assert s_err.startswith("error: validation:") and v_err.startswith("error: validation:")
+        assert "ok" not in v_out
 
 
 # ── score ─────────────────────────────────────────────────────────────────
@@ -199,6 +216,35 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(p), "--out", str(tmp_path / "out"))
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_workers_below_one_rejected(self, capsys, tmp_path, uc):
+        code, _, err = run(capsys, "simulate", "--config", uc("uc_a"), "--workers", "0",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: validation:")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_number_rejected_and_nothing_written(self, capsys, tmp_path, uc):
+        data = json.loads(open(uc("uc_a")).read())
+        data["statistics"] = {"accuracy": float("nan")}
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))  # json.dumps writes a bare NaN
+        assert "NaN" in p.read_text()
+        code, _, err = run(capsys, "simulate", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: validation:")
+        assert not (tmp_path / "out").exists()
+
+    def test_outputs_get_the_umask_mode(self, capsys, tmp_path, uc):
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "simulate", "--config", uc("uc_a"), "--out", str(tmp_path))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for name in ("trust_report.json", "factsheet.json", "emissions.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
 
 
 # ── compare ───────────────────────────────────────────────────────────────

@@ -163,6 +163,14 @@ class TestLoadScenario:
         p.write_text(json.dumps(data))
         assert load_scenario(p).name == "my_run"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected_anywhere(self, tmp_path, literal):
+        text = json.dumps(dict(BASE, statistics={"accuracy": 0.5}))
+        p = tmp_path / "x.json"
+        p.write_text(text.replace('"accuracy": 0.5', f'"accuracy": {literal}'))
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_scenario(p)
+
     def test_digest_is_stable_and_sensitive(self):
         a, b = cfg(), cfg()
         assert config_digest(a) == config_digest(b)

@@ -243,19 +243,6 @@ class TestRunFederation:
         assert a.emissions.to_csv_bytes() == b.emissions.to_csv_bytes()
         assert np.array_equal(a.model, b.model)
 
-    def test_workers_do_not_change_results(self, tables):
-        config = make_config(
-            num_clients=20, sample_size=9, total_rounds=12,
-            client_locations=[{"share": 0.25, "location": "CH"}, {"share": 0.75, "location": "ZA"}],
-            client_hardware=[{"share": 0.5, "model": "Intel Core i7-8650U"},
-                             {"share": 0.5, "model": "Intel Xeon E5-2650"}],
-        )
-        serial = run_federation(config, tables, workers=1)
-        parallel = run_federation(config, tables, workers=4)
-        assert serial.emissions.to_csv_bytes() == parallel.emissions.to_csv_bytes()
-        assert np.array_equal(serial.model, parallel.model)
-        assert serial.selection_counts == parallel.selection_counts
-
     def test_seed_changes_selection_but_not_row_counts(self, tables):
         a = run_federation(make_config(seed=1), tables)
         b = run_federation(make_config(seed=2), tables)
@@ -300,7 +287,3 @@ class TestRunFederation:
                 bumped["sample_size"] = base["sample_size"] * 2
             total = run_federation(make_config(**bumped), tables).emissions.total_co2eq_g()
             assert total >= reference, field
-
-    def test_invalid_workers_rejected(self, tables):
-        with pytest.raises(SimulationError):
-            run_federation(make_config(), tables, workers=0)

@@ -60,7 +60,6 @@ class TestCarbonAssessment:
         carbon = assess_carbon(cfg, tables.grid, tables.locations)
         assert carbon.client_avg == pytest.approx(734.5, abs=1e-9)
         assert carbon.server == 709
-        assert carbon.total == pytest.approx(709 + 734.5, abs=1e-9)
 
     def test_uniform_country_means_client_avg_equals_server(self, tables):
         cfg = make_config(client_locations="ZA", server_location="ZA")
@@ -130,11 +129,6 @@ class TestHardwareAssessment:
         assert hw.client_avg_pp == tables.hardware.lookup("Intel Core i7-1250U").power_performance
         scored = scored_pillar(cfg, tables)
         assert scored.find("sustainability.hardware_efficiency.client").score == 1.0
-
-    def test_total_is_server_plus_client_average(self, tables):
-        cfg = make_config(server_hardware="Intel Xeon W-2104")
-        hw = assess_hardware(cfg, tables.hardware)
-        assert hw.total == pytest.approx(hw.server_pp + hw.client_avg_pp, abs=1e-12)
 
     def test_unknown_model_names_the_string(self, tables):
         from fedsust.refdata import UnknownHardwareError
