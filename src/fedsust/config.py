@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 __all__ = [
@@ -176,18 +176,20 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     energy_raw = data.get("energy_model", {})
     if not isinstance(energy_raw, dict):
         raise ConfigError("field 'energy_model' must be an object")
-    try:
-        energy = EnergyModel(**energy_raw)
-    except TypeError as exc:
-        raise ConfigError(f"field 'energy_model' has unknown sub-field: {exc}") from None
+    unknown = sorted(set(energy_raw) - {f.name for f in fields(EnergyModel)})
+    if unknown:
+        raise ConfigError(f"field 'energy_model' has unknown sub-field(s): {', '.join(unknown)}")
+    for key, value in energy_raw.items():
+        _require_real(f"energy_model.{key}", value)
+    energy = EnergyModel(**energy_raw)
 
     overrides_raw = data.get("score_overrides", {})
     if not isinstance(overrides_raw, dict):
         raise ConfigError("field 'score_overrides' must be an object")
     score_overrides: dict[str, float] = {}
     for key, value in overrides_raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(float(value)) or not 0.0 <= float(value) <= 1.0:
+        _require_real(f"score_overrides.{key}", value)
+        if not 0.0 <= float(value) <= 1.0:
             raise ConfigError(f"field 'score_overrides.{key}' must lie in [0, 1], got {value!r}")
         score_overrides[str(key)] = float(value)
 
@@ -229,10 +231,7 @@ def _sampling_fields(data: dict, num_clients: int) -> tuple[int, float]:
                 f"field 'sample_size' ({sample_size}) exceeds 'num_clients' ({num_clients})"
             )
     if has_rate:
-        rate = data["selection_rate"]
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not math.isfinite(float(rate)):
-            raise ConfigError(f"field 'selection_rate' must be a number, got {rate!r}")
-        rate = float(rate)
+        rate = float(_require_real("selection_rate", data["selection_rate"]))
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"field 'selection_rate' must lie in (0, 1], got {rate}")
     if has_m and has_rate:
@@ -261,8 +260,20 @@ def _int_field(data: dict, name: str, minimum: int, default: int | None = None) 
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    _require_real(name, value)
     if value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _require_real(name: str, value):
+    # values are used as floats; float() of an int beyond ~1.8e308 overflows
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"field {name!r} is too large: a {value.bit_length()}-bit integer") from None
     return value
 
 
@@ -297,9 +308,8 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
             raise ConfigError(
                 f"field '{name}[{i}]' must be an object with 'share' and {value_key!r}"
             )
-        share = item["share"]
-        if not isinstance(share, (int, float)) or isinstance(share, bool) \
-                or not math.isfinite(float(share)) or not 0.0 < float(share) <= 1.0:
+        share = _require_real(f"{name}[{i}].share", item["share"])
+        if not 0.0 < float(share) <= 1.0:
             raise ConfigError(f"field '{name}[{i}].share' must lie in (0, 1], got {share!r}")
         value = item[value_key]
         if not isinstance(value, str) or not value.strip():

@@ -3,17 +3,21 @@
 Energy is estimated, not measured: a phase drawing ``tdp`` watts at a given
 utilization for ``duration`` seconds consumes
 ``tdp * utilization * duration / 3.6e6`` kWh, and emits
-``energy_kwh * grid_intensity`` grams of CO2eq. Records accumulate in an
-:class:`EmissionsLog`; the persisted CSV is sorted by
+``energy_kwh * grid_intensity`` grams of CO2eq. Rows accumulate in an
+:class:`EmissionsLog`, a columnar table; the persisted CSV is sorted by
 ``(round, role, node_id, phase)`` so the file bytes are deterministic no
-matter how records were produced.
+matter in which order rows were added.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .config import EnergyModel
 from .refdata import HardwareProfile
@@ -24,6 +28,7 @@ __all__ = [
     "EmissionsLog",
     "PHASES",
     "ROLES",
+    "ROW_FIELDS",
     "energy_to_co2",
     "estimate_energy",
     "track_phase",
@@ -33,6 +38,11 @@ ROLES = ("client", "server")
 PHASES = ("training", "aggregation", "communication")
 
 CSV_HEADER = "round,role,node_id,phase,duration_s,energy_kwh,intensity_gco2_kwh,co2eq_g"
+# A row of EmissionsLog in CSV column order; without the CO2eq, its sort key.
+ROW_FIELDS = ("round", "role", "node_id", "phase", "duration_s", "energy_kwh", "intensity", "co2eq_g")
+_ENERGY = ROW_FIELDS.index("energy_kwh")
+_CO2 = ROW_FIELDS.index("co2eq_g")
+_SORT_KEY = operator.itemgetter(*range(_CO2))
 
 # kWh per watt-second.
 _WS_PER_KWH = 3.6e6
@@ -119,65 +129,83 @@ def track_phase(
 
 
 class EmissionsLog:
-    """Order-independent accumulator of emission records.
+    """Columnar table of emission rows, one list per field of ``ROW_FIELDS``.
 
-    ``add`` keeps running totals; ``total_co2eq_g``/``total_energy_kwh``
-    recompute from the records so the two views cross-check each other.
-    Totals and groupings ``math.fsum`` the records in insertion order:
-    ``fsum`` is exactly rounded, so no order can change them. Only the CSV
-    is sorted.
+    ``add`` appends a validated :class:`EmissionRecord`; the simulator
+    appends whole rounds of rows it priced itself. Totals ``math.fsum`` the
+    columns: exactly rounded, so no row order changes them; plain running
+    sums cross-check them. Only the CSV and ``sorted_records`` sort, and only
+    when rows were not appended in CSV order.
     """
 
     def __init__(self) -> None:
-        self._records: list[EmissionRecord] = []
-        self._running_energy = 0.0
-        self._running_co2 = 0.0
+        self._columns: tuple[list, ...] = tuple([] for _ in ROW_FIELDS)
 
     def add(self, record: EmissionRecord) -> None:
-        self._records.append(record)
-        self._running_energy += record.energy_kwh
-        self._running_co2 += record.co2eq_g
+        self._extend([tuple(getattr(record, name) for name in ROW_FIELDS)])
+
+    def _extend(self, rows: list[tuple]) -> None:
+        """Append rows in ``ROW_FIELDS`` order, unchecked: each must hold a role
+        in ``ROLES``, a phase in ``PHASES``, a round >= 0 and numbers priced by
+        :func:`estimate_energy` and :func:`energy_to_co2`."""
+        for column, values in zip(self._columns, zip(*rows)):
+            column.extend(values)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._columns[0])
+
+    def _csv_rows(self):
+        # the simulator appends in CSV order: sorting would copy each row and its key
+        following = itertools.islice(zip(*self._columns), 1, None)
+        if all(map(operator.le, zip(*self._columns), following)):
+            return zip(*self._columns)
+        # numeric fields break ties so file bytes never depend on insertion order
+        return sorted(zip(*self._columns), key=_SORT_KEY)
 
     @property
     def records(self) -> list[EmissionRecord]:
-        return list(self._records)
+        return [EmissionRecord(**dict(zip(ROW_FIELDS, row))) for row in zip(*self._columns)]
 
     def sorted_records(self) -> list[EmissionRecord]:
-        # numeric fields break ties so file bytes never depend on insertion order
-        return sorted(
-            self._records,
-            key=lambda r: (r.round, r.role, r.node_id, r.phase,
-                           r.duration_s, r.energy_kwh, r.intensity),
-        )
+        return [EmissionRecord(**dict(zip(ROW_FIELDS, row))) for row in self._csv_rows()]
 
     def total_energy_kwh(self) -> float:
-        return math.fsum(r.energy_kwh for r in self._records)
+        return math.fsum(self._columns[_ENERGY])
 
     def total_co2eq_g(self) -> float:
-        return math.fsum(r.co2eq_g for r in self._records)
+        return math.fsum(self._columns[_CO2])
 
     def running_totals(self) -> tuple[float, float]:
-        """(energy kWh, CO2eq g) accumulated record by record at add time."""
-        return self._running_energy, self._running_co2
+        """(energy kWh, CO2eq g) accumulated row by row in insertion order."""
+        return sum(self._columns[_ENERGY]), sum(self._columns[_CO2])
 
     def co2eq_by(self, key) -> dict:
-        """Group CO2eq grams by ``key(record)`` (e.g. ``lambda r: r.phase``)."""
+        """Group CO2eq grams by a column (``"phase"``) or by ``key(row)``, where
+        ``row`` is one reused view with the record's field names as attributes."""
+        if isinstance(key, str):
+            keys = self._columns[ROW_FIELDS.index(key)]
+        else:
+            view = SimpleNamespace()
+            keys = (vars(view).update(zip(ROW_FIELDS, row)) or key(view) for row in zip(*self._columns))
         groups: dict = {}
-        for record in self._records:
-            groups.setdefault(key(record), []).append(record.co2eq_g)
+        for k, co2 in zip(keys, self._columns[_CO2]):
+            groups.setdefault(k, []).append(co2)
         return {k: math.fsum(v) for k, v in groups.items()}
 
     def to_csv_bytes(self) -> bytes:
-        lines = [CSV_HEADER]
-        for r in self.sorted_records():
-            lines.append(
-                f"{r.round},{r.role},{r.node_id},{r.phase},"
-                f"{r.duration_s:.6g},{r.energy_kwh:.6g},{r.intensity:.6g},{r.co2eq_g:.6g}"
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        # a client's four numbers repeat in every round it is drawn: format them once
+        numbers: dict[tuple, str] = {}
+        out = io.BytesIO()
+        out.write(f"{CSV_HEADER}\n".encode("utf-8"))
+        for row in self._csv_rows():
+            tail = row[4:]
+            text = numbers.get(tail)
+            if text is None:
+                text = ",".join(format(x, ".6g") for x in tail)
+                if all(tail):  # 0.0 == -0.0 as a key, but they print differently
+                    numbers[tail] = text
+            out.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{text}\n".encode("utf-8"))
+        return out.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
         from .report import write_atomic

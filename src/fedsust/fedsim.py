@@ -1,12 +1,12 @@
-"""Deterministic federation simulator: sampling, pseudo-training, aggregation.
+"""Deterministic federation simulator: client sampling and emissions accounting.
 
-No real learning happens here. Each round the server draws a client subset,
-every drawn client produces a hash-derived perturbation of the broadcast
-model vector, the server averages the updates, and every phase is priced by
-the TDP-based emissions estimator. Rounds and the clients within a round run
-serially in one thread; every random draw is keyed by the seed and a round
-or client index rather than by call order, so outputs are bit-reproducible
-functions of ``(config, seed)``.
+No learning happens here. Each round the server draws a client subset, and
+every phase it would run is priced by the TDP-based emissions estimator:
+one training row per drawn client, a communication row when communication
+is priced, and one server aggregation row. Rounds run serially in one
+thread; every random draw is keyed by the seed and a round or client index
+rather than by call order, so outputs are bit-reproducible functions of
+``(config, seed)``.
 
 Client selection stream
 -----------------------
@@ -23,14 +23,14 @@ here so it can be reimplemented independently:
   positions ``i`` and ``i + (w mod (N - i))``; the first ``m`` positions,
   sorted ascending, are the selected clients.
 
-Model perturbations and synthetic label splits use numpy's Philox bit
-generator keyed from analogous SHA-256 digests (one matrix per round, rows
-in selected-client order); they do not need to be reimplementable, only
-reproducible.
+Synthetic label splits use numpy's Philox bit generator keyed from
+analogous SHA-256 digests (one generator per client); they do not need to
+be reimplementable, only reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -39,15 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FederationConfig
-from .emissions import EmissionRecord, EmissionsLog, energy_to_co2, track_phase
-from .refdata import HardwareProfile, ReferenceTables
+from .emissions import EmissionsLog, energy_to_co2, estimate_energy, track_phase
+from .refdata import ReferenceTables
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "ClientStatistics",
     "FederationState",
-    "MODEL_VECTOR_CAP",
     "SelectionStream",
     "SimulationError",
     "accumulate_class_distribution",
@@ -60,16 +59,9 @@ __all__ = [
     "sample_clients",
 ]
 
-# Declared model sizes can be astronomically larger than anything worth
-# materializing; the scored raw value stays the declared size.
-MODEL_VECTOR_CAP = 4096
-
 _SAMPLE_TAG = b"fedsust-sample"
-_TRAIN_TAG = b"fedsust-train"
 _LABEL_TAG = b"fedsust-labels"
 _SALT_TAG = b"fedsust-salt"
-
-_PERTURBATION_STEP = 0.1
 
 
 class SimulationError(ValueError):
@@ -203,12 +195,10 @@ class FederationState:
     """Final simulator state after the last round."""
 
     round: int
-    model: np.ndarray
     selection_counts: dict[int, int]
     class_distribution: dict[str, int]
     emissions: EmissionsLog
     client_countries: list[str]
-    client_hardware: list[str]
     statistics: dict[int, ClientStatistics] = field(default_factory=dict)
 
 
@@ -236,21 +226,16 @@ def _agg_duration(config: FederationConfig) -> float:
     return em.agg_seconds_per_unit * config.sample_size * (config.model_size / 1e6)
 
 
-def _round_deltas(seed: int, round_index: int, count: int, length: int) -> np.ndarray:
-    """Perturbations applied by this round's selected clients, one row each."""
-    gen = _philox(_TRAIN_TAG, seed, round_index)
-    return gen.uniform(-_PERTURBATION_STEP, _PERTURBATION_STEP, size=(count, length))
-
-
 def run_federation(config: FederationConfig, tables: ReferenceTables | None = None) -> FederationState:
     """Execute the orchestration loop for ``config.total_rounds`` rounds.
 
     Per round, serially: draw ``sample_size`` clients without replacement,
-    track a training record per drawn client (plus a communication record
-    when communication energy is priced), average the broadcast model plus
-    one perturbation row per drawn client, and track one server aggregation
-    record. Every random draw is keyed by the seed and a round or client
-    index, so results depend on nothing but ``(config, seed)``.
+    log a training row per drawn client (plus a communication row when
+    communication energy is priced) and one server aggregation row. Rows
+    are priced once per (TDP, grid intensity) pair and a client is hashed on
+    its first draw; each round sorts only its own rows. Every random draw is
+    keyed by the seed and a round or client index, so results depend on
+    nothing but ``(config, seed)``.
     """
     tables = tables or ReferenceTables.load()
 
@@ -261,8 +246,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     countries = _assign_by_share(config.client_locations, n)
     countries = [tables.locations.resolve(c, tables.grid) for c in countries]
-    hardware_names = _assign_by_share(config.client_hardware, n)
-    client_hw: list[HardwareProfile] = [tables.hardware.lookup(hw) for hw in hardware_names]
+    client_tdp = [tables.hardware.lookup(hw).tdp for hw in _assign_by_share(config.client_hardware, n)]
     client_intensity = [tables.grid.lookup_intensity(c) for c in countries]
     server_hw = tables.hardware.lookup(config.server_hardware)
     server_country = tables.locations.resolve(config.server_location, tables.grid)
@@ -278,8 +262,6 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         client_labels.append(labels)
         accumulate_class_distribution(class_distribution, labels, salt, hash_registry)
 
-    length = min(config.model_size, MODEL_VECTOR_CAP)
-    model = np.zeros(length, dtype=np.float64)
     train_time = _train_duration(config)
     agg_time = _agg_duration(config)
     comm_bytes = 8.0 * config.model_size  # one upload + one download at 4 bytes/parameter
@@ -287,47 +269,33 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     comm_energy = em.comm_energy_per_byte * comm_bytes
     training_seconds: dict[int, float] = {c: 0.0 for c in range(n)}
 
+    @functools.cache
+    def price(tdp: float, intensity: float) -> tuple[tuple, ...]:
+        """A client's (phase, duration, energy, intensity, CO2eq) rows, in CSV order."""
+        energy = estimate_energy(tdp, em.effective_utilization(), train_time)
+        rows = (("training", train_time, energy, intensity, energy_to_co2(energy, intensity)),)
+        if comm_energy > 0.0:
+            comm = ("communication", 0.0, comm_energy, intensity, energy_to_co2(comm_energy, intensity))
+            rows = (comm, *rows)
+        return rows
+
+    node_ids: dict[int, str] = {}  # hashed on a client's first draw
+
     for t in range(1, config.total_rounds + 1):
         selected = sample_clients(n, m, SelectionStream(seed, t))
         for client in selected:
             selection_counts[client] += 1
             training_seconds[client] += train_time
-            rec = track_phase(
-                log,
-                node_id=hash_client_id(salt, client),
-                role="client",
-                phase="training",
-                round_index=t,
-                model=em,
-                hardware=client_hw[client],
-                duration_s=train_time,
-                intensity=client_intensity[client],
-            )
-            if comm_energy > 0.0:
-                log.add(EmissionRecord(
-                    node_id=rec.node_id,
-                    role="client",
-                    phase="communication",
-                    round=t,
-                    duration_s=0.0,
-                    energy_kwh=comm_energy,
-                    intensity=client_intensity[client],
-                    co2eq_g=energy_to_co2(comm_energy, client_intensity[client]),
-                ))
-        model = aggregate_model(model + _round_deltas(seed, t, len(selected), length))
-        if not np.all(np.isfinite(model)):
-            raise SimulationError(f"model vector became non-finite in round {t}")
-        track_phase(
-            log,
-            node_id="server",
-            role="server",
-            phase="aggregation",
-            round_index=t,
-            model=em,
-            hardware=server_hw,
-            duration_s=agg_time,
-            intensity=server_intensity,
-        )
+            if client not in node_ids:
+                node_ids[client] = hash_client_id(salt, client)
+        ordered = sorted(selected, key=node_ids.__getitem__)
+        log._extend([
+            (t, "client", node_ids[c], *row)
+            for c in ordered
+            for row in price(client_tdp[c], client_intensity[c])
+        ])
+        track_phase(log, node_id="server", role="server", phase="aggregation", round_index=t,
+                    model=em, hardware=server_hw, duration_s=agg_time, intensity=server_intensity)
 
     statistics = {
         c: ClientStatistics(
@@ -343,11 +311,9 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     return FederationState(
         round=config.total_rounds,
-        model=model,
         selection_counts=selection_counts,
         class_distribution=class_distribution,
         emissions=log,
         client_countries=countries,
-        client_hardware=hardware_names,
         statistics=statistics,
     )

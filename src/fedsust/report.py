@@ -226,7 +226,7 @@ def populate_factsheet(
                 hash_client_id(salt, c): count for c, count in sorted(state.selection_counts.items())
             },
             "class_distribution": dict(sorted(state.class_distribution.items())),
-            "emissions_by_phase_g_raw": state.emissions.co2eq_by(lambda r: r.phase),
+            "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
         }
         sheet.post_training = {
             "client_statistics": {
@@ -356,6 +356,6 @@ def emissions_summary(state: FederationState) -> dict:
         "records": len(log),
         "total_energy_kwh_raw": log.total_energy_kwh(),
         "total_co2eq_g_raw": log.total_co2eq_g(),
-        "co2eq_by_phase_g_raw": log.co2eq_by(lambda r: r.phase),
-        "co2eq_by_role_g_raw": log.co2eq_by(lambda r: r.role),
+        "co2eq_by_phase_g_raw": log.co2eq_by("phase"),
+        "co2eq_by_role_g_raw": log.co2eq_by("role"),
     }

@@ -322,6 +322,9 @@ def trust_score(pillar_scores: list[float], weights: list[float]) -> float:
         )
     if not pillar_scores:
         raise ScoreError("trust score needs at least one pillar")
+    non_finite = [f"{w!r} at position {i}" for i, w in enumerate(weights) if not math.isfinite(w)]
+    if non_finite:
+        raise ScoreError(f"pillar weights must be finite, got {', '.join(non_finite)}")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ScoreError(f"pillar weights sum to {total!r}, expected 1.0")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import ConfigError, FederationConfig
+from .config import FederationConfig
 from .refdata import GridIntensityTable, HardwareTable, LocationResolver
 from .scoring import (
     CARBON_INTENSITY_RULE,
@@ -114,15 +114,7 @@ def assess_hardware(config: FederationConfig, hardware: HardwareTable) -> Hardwa
 
 
 def assess_complexity(config: FederationConfig) -> ComplexityAssessment:
-    """Copy the six complexity drivers out of the validated configuration."""
-    if config.num_clients < 1:
-        raise ConfigError("field 'num_clients' must be >= 1")
-    if config.total_rounds < 1:
-        raise ConfigError("field 'total_rounds' must be >= 1")
-    if not 0.0 < config.selection_rate <= 1.0:
-        raise ConfigError("field 'selection_rate' must lie in (0, 1]")
-    if config.model_size < 1:
-        raise ConfigError("field 'model_size' must be >= 1")
+    """Copy the six complexity drivers out of the configuration ``parse_config`` validated."""
     return ComplexityAssessment(
         global_rounds=config.total_rounds,
         num_clients=config.num_clients,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: commands, exit codes, outputs."""
 
+import hashlib
 import json
 import os
 import stat
@@ -111,6 +112,29 @@ class TestValidate:
         assert s_code == v_code == 1
         assert s_err.startswith("error: validation:") and v_err.startswith("error: validation:")
         assert "ok" not in v_out
+
+    @pytest.mark.parametrize("field", ["selection_rate", "num_clients"])
+    def test_integer_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path, uc, field):
+        data = json.loads(open(uc("uc_a")).read())
+        data[field] = 10**400
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "validate", "--config", str(p))
+        assert code == 1
+        assert err.startswith("error: validation:") and field in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_finite_notion_weight_named_not_reported_as_a_score(self, capsys, tmp_path, uc):
+        p = tmp_path / "pillars.json"
+        p.write_text(json.dumps({"pillars": {
+            "privacy": {"notions": {"a": 0.5, "b": 0.5}, "weights": {"a": 0.5, "b": float("nan")}},
+        }}))
+        for command in ("validate", "score"):
+            code, _, err = run(capsys, command, "--config", uc("uc_a"), "--pillars", str(p),
+                               "--out", str(tmp_path / "out"))
+            assert code == 1
+            assert err.startswith("error: validation:") and "nan" in err
+            assert "outside" not in err
 
 
 # ── score ─────────────────────────────────────────────────────────────────
@@ -235,6 +259,20 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: validation:")
         assert not (tmp_path / "out").exists()
+
+    def test_desk_scale_bytes_pinned(self, capsys, tmp_path, uc):
+        # SHA-256 of each output of `simulate` on desk_scale_1000 at --seed 3; a change
+        # that alters these bytes on purpose updates the digests and says why
+        code, _, _ = run(capsys, "simulate", "--config", uc("desk_scale_1000"), "--seed", "3",
+                         "--out", str(tmp_path))
+        assert code == 0
+        pinned = {
+            "trust_report.json": "082e551ce4b9afe52218d2aedf698b0c92a24b2646dc409e11fab22a200b1b4f",
+            "factsheet.json": "ae0664bd2a279f46401965726c168258a6acf5351e6f49e9c2021abcab0031cf",
+            "emissions.csv": "6915b4be7648fa720491ce0b8f1191ce0bf245043b1d12fe362ef0e241a8d05b",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_outputs_get_the_umask_mode(self, capsys, tmp_path, uc):
         previous = os.umask(0o022)

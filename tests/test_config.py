@@ -141,6 +141,26 @@ class TestFieldValidation:
             cfg(energy_model={"warp_drive": 1})
         assert cfg(energy_model={"idle_fraction": 0.2}).energy_model.idle_fraction == 0.2
 
+    @pytest.mark.parametrize("value", [None, "1e-12", True, [1e-12], {}])
+    def test_energy_model_wrong_type_names_the_sub_field(self, value):
+        with pytest.raises(ConfigError, match=r"'energy_model\.comm_energy_per_byte' must be a number") as info:
+            cfg(energy_model={"comm_energy_per_byte": value})
+        assert "unknown" not in str(info.value)
+
+    @pytest.mark.parametrize("field", ["selection_rate", "num_clients", "model_size"])
+    def test_integer_too_large_for_a_float_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            cfg(**{field: 10**400})
+
+    @pytest.mark.parametrize("data", [
+        {"energy_model": {"cpu_utilization": 10**400}},
+        {"score_overrides": {"sustainability": 10**400}},
+        {"client_locations": [{"share": 10**400, "location": "CH"}]},
+    ])
+    def test_nested_integer_too_large_for_a_float_rejected(self, data):
+        with pytest.raises(ConfigError):
+            cfg(**data)
+
 
 class TestEnergyModel:
     def test_defaults(self):

@@ -11,6 +11,7 @@ from fedsust.emissions import (
     EmissionRecord,
     EmissionsError,
     EmissionsLog,
+    ROW_FIELDS,
     energy_to_co2,
     estimate_energy,
     track_phase,
@@ -151,6 +152,27 @@ class TestEmissionsLog:
         for record in reversed(records):
             log_b.add(record)
         assert log_a.to_csv_bytes() == log_b.to_csv_bytes()
+
+    def test_appended_rows_match_added_records_in_any_order(self):
+        records = random_log(16).records
+        added = EmissionsLog()
+        for record in records:
+            added.add(record)
+        rows = sorted(tuple(getattr(r, name) for name in ROW_FIELDS) for r in records)
+        in_order, out_of_order = EmissionsLog(), EmissionsLog()
+        in_order._extend(rows[:80])
+        in_order._extend(rows[80:])
+        out_of_order._extend(rows[80:])
+        out_of_order._extend(rows[:80])
+        for log in (in_order, out_of_order):
+            assert log.to_csv_bytes() == added.to_csv_bytes()
+            assert log.sorted_records() == added.sorted_records()
+            assert log.total_co2eq_g() == added.total_co2eq_g()
+
+    def test_field_name_and_callable_keys_group_alike(self):
+        log = random_log(17)
+        for name in ("round", "role", "node_id", "phase"):
+            assert log.co2eq_by(name) == log.co2eq_by(lambda r: getattr(r, name))
 
     def test_csv_roundtrip_to_six_significant_digits(self, tmp_path):
         log = random_log(15, n=20)

@@ -369,6 +369,13 @@ class TestTrustScore:
         with pytest.raises(ScoreError):
             trust_score([], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights_and_names_them(self, bad):
+        with pytest.raises(ScoreError, match=rf"finite.*{bad!r}.*position 1"):
+            trust_score([0.5, 0.5], [0.5, bad])
+        with pytest.raises(ScoreError, match="finite"):
+            trust_score([0.5], [bad])
+
     def test_ranking_invariant_under_weight_rescaling(self):
         rng = random.Random(109)
         for _ in range(300):
