@@ -4,9 +4,9 @@ No learning happens here. Each round the server draws a client subset, and
 every phase it would run is priced by the TDP-based emissions estimator:
 one training row per drawn client, a communication row when communication
 is priced, and one server aggregation row. Rounds run serially in one
-thread; every random draw is keyed by the seed and a round or client index
-rather than by call order, so outputs are bit-reproducible functions of
-``(config, seed)``.
+thread; every random draw is addressed by the seed and a round or client
+index rather than by call order, so outputs are bit-reproducible functions
+of ``(config, seed)``.
 
 Client selection stream
 -----------------------
@@ -23,9 +23,24 @@ here so it can be reimplemented independently:
   positions ``i`` and ``i + (w mod (N - i))``; the first ``m`` positions,
   sorted ascending, are the selected clients.
 
-Synthetic label splits use numpy's Philox bit generator keyed from
-analogous SHA-256 digests (one generator per client); they do not need to
-be reimplementable, only reproducible.
+Label stream
+------------
+Synthetic label splits come from one run-wide Philox4x64-10 stream
+(Salmon et al., SC'11), also documented for reimplementation:
+
+* the key is the first two big-endian unsigned 64-bit words of
+  ``SHA-256(b"fedsust-labels" || seed)``, ``seed`` as above;
+* block ``b = 0, 1, ...`` is Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)``
+  (numpy's convention: the counter is incremented before each block); its
+  four output words are consumed in order;
+* word ``u`` becomes the double ``(u >> 11) * 2**-53``, and with ``k``
+  classes client ``c``'s proportions are doubles ``c*k .. c*k + k - 1``;
+* a row ``p_0 .. p_(k-1)`` is scaled as ``raw_j = (p_j / s) * dataset_size``
+  with ``s = (..((p_0 + p_1) + p_2) ..) + p_(k-1)`` summed left to right;
+  ``count_j = floor(raw_j)``, and the shortfall ``dataset_size - sum(count)``
+  goes one each to the largest remainders ``raw_j - count_j``, ties to the
+  lower class index. Class ``j`` is labelled ``class_j``; zero counts are
+  omitted.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ import functools
 import hashlib
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +68,7 @@ __all__ = [
     "accumulate_class_distribution",
     "aggregate_model",
     "client_class_counts",
+    "fleet_class_counts",
     "hash_client_id",
     "hash_label",
     "run_federation",
@@ -62,6 +79,7 @@ __all__ = [
 _SAMPLE_TAG = b"fedsust-sample"
 _LABEL_TAG = b"fedsust-labels"
 _SALT_TAG = b"fedsust-salt"
+_BLOCK_WORDS = struct.Struct(">4Q")  # a digest as four big-endian unsigned 64-bit words
 
 
 class SimulationError(ValueError):
@@ -78,14 +96,14 @@ class SelectionStream:
             raise SimulationError(f"round index must be >= 0, got {round_index}")
         self._prefix = _SAMPLE_TAG + seed.to_bytes(8, "big") + round_index.to_bytes(8, "big")
         self._counter = 0
-        self._words: list[int] = []
+        self._words: list[int] = []  # the current block's unread words, last-to-first
 
     def next_u64(self) -> int:
         if not self._words:
             block = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big")).digest()
             self._counter += 1
-            self._words = [int.from_bytes(block[i : i + 8], "big") for i in (0, 8, 16, 24)]
-        return self._words.pop(0)
+            self._words = list(_BLOCK_WORDS.unpack(block))[::-1]
+        return self._words.pop()
 
 
 def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) -> tuple[int, ...]:
@@ -94,11 +112,15 @@ def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) 
         raise SimulationError(
             f"sample size {sample_size} must lie in [1, num_clients={num_clients}]"
         )
-    idx = list(range(num_clients))
+    # Only displaced positions are stored; position i is never read after step i.
+    swapped: dict[int, int] = {}
+    picked = []
+    next_u64 = stream.next_u64
     for i in range(sample_size):
-        j = i + stream.next_u64() % (num_clients - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return tuple(sorted(idx[:sample_size]))
+        j = i + next_u64() % (num_clients - i)
+        picked.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return tuple(sorted(picked))
 
 
 def aggregate_model(updates) -> np.ndarray:
@@ -131,31 +153,51 @@ def hash_label(salt: bytes, label: str) -> str:
     return hashlib.sha256(salt + b"label:" + label.encode("utf-8")).hexdigest()[:16]
 
 
-def _philox(tag: bytes, seed: int, *parts: int) -> np.random.Generator:
-    material = tag + seed.to_bytes(8, "big") + b"".join(p.to_bytes(8, "big") for p in parts)
-    digest = hashlib.sha256(material).digest()
-    key = [int.from_bytes(digest[0:8], "big"), int.from_bytes(digest[8:16], "big")]
-    return np.random.Generator(np.random.Philox(key=key))
+def _label_bit_generator(seed: int) -> np.random.Philox:
+    """The run's label stream, positioned at its first word."""
+    digest = hashlib.sha256(_LABEL_TAG + seed.to_bytes(8, "big")).digest()
+    key = np.array([int.from_bytes(digest[0:8], "big"), int.from_bytes(digest[8:16], "big")],
+                   dtype=np.uint64)
+    return np.random.Philox(key=key)
+
+
+def _largest_remainder(props: np.ndarray, dataset_size: int) -> np.ndarray:
+    """Round each row of proportions to int64 counts summing to ``dataset_size``."""
+    # summed left to right, so a row's total does not depend on the batch shape
+    total = np.cumsum(props, axis=1)[:, -1:]
+    raw = (props / total) * dataset_size
+    counts = np.floor(raw).astype(np.int64)
+    shortfall = dataset_size - counts.sum(axis=1, keepdims=True)
+    order = np.argsort(-(raw - counts), axis=1, kind="stable")  # ties: lower class first
+    bump = np.zeros_like(counts)
+    np.put_along_axis(bump, order, np.arange(props.shape[1]) < shortfall, axis=1)
+    return counts + bump
+
+
+def fleet_class_counts(seed: int, num_clients: int, dataset_size: int, num_classes: int) -> np.ndarray:
+    """Every client's synthetic per-class sample counts, one row per client.
+
+    Row ``c`` is client ``c``'s split of its ``dataset_size`` samples over
+    ``num_classes`` classes, drawn from the label stream (module docstring)
+    in one call, so fleets are label-imbalanced as real federations are.
+    """
+    gen = np.random.Generator(_label_bit_generator(seed))
+    return _largest_remainder(gen.random((num_clients, num_classes)), dataset_size)
 
 
 def client_class_counts(seed: int, client_index: int, dataset_size: int, num_classes: int) -> dict[str, int]:
-    """Synthetic per-class sample counts of one client's local dataset.
+    """One client's row of :func:`fleet_class_counts`, as ``{"class_j": count}``.
 
-    Proportions are hash-derived (so fleets are label-imbalanced, as real
-    federations are) and rounded by largest remainder, preserving
-    ``sum(counts) == dataset_size`` exactly.
+    Zero counts are omitted; ``sum(counts) == dataset_size`` exactly.
     """
-    gen = _philox(_LABEL_TAG, seed, client_index)
-    props = gen.random(num_classes)
-    props = props / props.sum()
-    raw = props * dataset_size
-    counts = np.floor(raw).astype(np.int64)
-    shortfall = int(dataset_size - counts.sum())
-    if shortfall:
-        order = sorted(range(num_classes), key=lambda c: (-(raw[c] - counts[c]), c))
-        for c in order[:shortfall]:
-            counts[c] += 1
-    return {f"class_{c}": int(counts[c]) for c in range(num_classes) if counts[c] > 0}
+    if client_index < 0:
+        raise SimulationError(f"client index must be >= 0, got {client_index}")
+    bits = _label_bit_generator(seed)
+    offset = client_index * num_classes
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    row = _largest_remainder(np.random.Generator(bits).random((1, num_classes)), dataset_size)[0]
+    return {f"class_{j}": int(v) for j, v in enumerate(row) if v > 0}
 
 
 def accumulate_class_distribution(
@@ -233,9 +275,10 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     log a training row per drawn client (plus a communication row when
     communication energy is priced) and one server aggregation row. Rows
     are priced once per (TDP, grid intensity) pair and a client is hashed on
-    its first draw; each round sorts only its own rows. Every random draw is
-    keyed by the seed and a round or client index, so results depend on
-    nothing but ``(config, seed)``.
+    its first draw; each round sorts only its own rows. Label splits are
+    drawn for the whole fleet in one batch, and each class label is hashed
+    once per run. Every random draw is addressed by the seed and a round or
+    client index, so results depend on nothing but ``(config, seed)``.
     """
     tables = tables or ReferenceTables.load()
 
@@ -254,13 +297,11 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     log = EmissionsLog()
     selection_counts: dict[int, int] = {c: 0 for c in range(n)}
-    class_distribution: dict[str, int] = {}
-    hash_registry: dict[str, str] = {}
-    client_labels: list[dict[str, int]] = []
-    for c in range(n):
-        labels = client_class_counts(seed, c, config.dataset_size, config.num_label_classes)
-        client_labels.append(labels)
-        accumulate_class_distribution(class_distribution, labels, salt, hash_registry)
+    label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
+    labels = [f"class_{j}" for j in range(config.num_label_classes)]
+    totals = {label: total for label, total in zip(labels, label_counts.sum(axis=0).tolist()) if total}
+    class_distribution = accumulate_class_distribution({}, totals, salt, {})
+    hashed_labels = [hash_label(salt, label) for label in labels]
 
     train_time = _train_duration(config)
     agg_time = _agg_duration(config)
@@ -304,9 +345,9 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
                 training_seconds[c] / selection_counts[c] if selection_counts[c] else 0.0
             ),
             dataset_size=config.dataset_size,
-            class_balance={hash_label(salt, k): v for k, v in sorted(client_labels[c].items())},
+            class_balance={h: v for h, v in zip(hashed_labels, row) if v},
         )
-        for c in range(n)
+        for c, row in enumerate(label_counts.tolist())
     }
 
     return FederationState(

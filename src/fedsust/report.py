@@ -111,22 +111,35 @@ def resolve_pillar_value(value, pillar: str) -> float:
     instead of a pre-rounded number.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, f"pillar {pillar!r}")
     if isinstance(value, dict) and "notions" in value:
         notions = value["notions"]
         if not isinstance(notions, dict) or not notions:
             raise ScoreError(f"pillar {pillar!r}: 'notions' must be a non-empty object")
         names = sorted(notions)
         weights_map = value.get("weights") or {}
+        if not isinstance(weights_map, dict):
+            raise ScoreError(f"pillar {pillar!r}: 'weights' must be an object")
         if weights_map:
             missing = sorted(set(names) - set(weights_map))
             if missing:
                 raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(missing)}")
-            weights = [float(weights_map[n]) for n in names]
+            weights = [_number(weights_map[n], f"pillar {pillar!r}: weight of {n!r}") for n in names]
         else:
             weights = [1.0 / len(names)] * len(names)
-        return trust_score([float(notions[n]) for n in names], weights)
+        return trust_score([_number(notions[n], f"pillar {pillar!r}: notion {n!r}") for n in names],
+                           weights)
     raise ScoreError(f"pillar {pillar!r}: expected a number or an object with 'notions'")
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number that fits one, else a ScoreError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ScoreError(f"{what} is too large for a float") from None
+    raise ScoreError(f"{what} must be a number, got {value!r}")
 
 
 def load_pillar_fixture(path: str | Path) -> dict[str, float]:
@@ -220,17 +233,16 @@ def populate_factsheet(
     }
     if state is not None:
         salt = run_salt(config.seed)
+        ids = {c: hash_client_id(salt, c) for c in sorted({*state.selection_counts, *state.statistics})}
         sheet.during_training = {
             "rounds_completed": state.round,
-            "selection_counts": {
-                hash_client_id(salt, c): count for c, count in sorted(state.selection_counts.items())
-            },
+            "selection_counts": {ids[c]: count for c, count in sorted(state.selection_counts.items())},
             "class_distribution": dict(sorted(state.class_distribution.items())),
             "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
         }
         sheet.post_training = {
             "client_statistics": {
-                hash_client_id(salt, c): {
+                ids[c]: {
                     "participation_rate": stats.participation_rate,
                     "avg_training_time_s": stats.avg_training_time_s,
                     "dataset_size": stats.dataset_size,

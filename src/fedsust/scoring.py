@@ -355,6 +355,8 @@ def load_weight_config(path) -> dict[str, float]:
             w = float(value)
         except (TypeError, ValueError):
             raise ScoreError(f"weight file {path}: weight for {key!r} is not a number") from None
+        except OverflowError:
+            raise ScoreError(f"weight file {path}: weight for {key!r} is too large for a float") from None
         if w < 0.0 or not math.isfinite(w):
             raise ScoreError(f"weight file {path}: weight for {key!r} must be >= 0 and finite")
         weights[key] = w

@@ -136,6 +136,28 @@ class TestValidate:
             assert err.startswith("error: validation:") and "nan" in err
             assert "outside" not in err
 
+    @pytest.mark.parametrize("place", ["notion", "weight"])
+    @pytest.mark.parametrize("bad", ["x", None, True, 10**400], ids=["string", "null", "bool", "10**400"])
+    def test_pillar_value_of_wrong_type_is_a_validation_error(self, capsys, tmp_path, uc, place, bad):
+        notions, weights = {"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}
+        (notions if place == "notion" else weights)["b"] = bad
+        p = tmp_path / "pillars.json"
+        p.write_text(json.dumps({"pillars": {"privacy": {"notions": notions, "weights": weights}}}))
+        code, out, err = run(capsys, "score", "--config", uc("uc_a"), "--pillars", str(p),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:") and "'b'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path, uc):
+        p = tmp_path / "w.json"
+        p.write_text('{"sustainability.carbon_intensity": 1' + "0" * 324 + "}")
+        code, out, err = run(capsys, "score", "--config", uc("uc_a"), "--weights", str(p),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+        assert "sustainability.carbon_intensity" in err and "too large" in err
+
 
 # ── score ─────────────────────────────────────────────────────────────────
 
@@ -268,7 +290,7 @@ class TestSimulate:
         assert code == 0
         pinned = {
             "trust_report.json": "082e551ce4b9afe52218d2aedf698b0c92a24b2646dc409e11fab22a200b1b4f",
-            "factsheet.json": "ae0664bd2a279f46401965726c168258a6acf5351e6f49e9c2021abcab0031cf",
+            "factsheet.json": "6f9c7c979111dc5033641493fffdd987550a75823694d81733ad7a8e753c3f59",
             "emissions.csv": "6915b4be7648fa720491ce0b8f1191ce0bf245043b1d12fe362ef0e241a8d05b",
         }
         for name, digest in pinned.items():

@@ -3,6 +3,9 @@
 ``reference_sample`` below is a from-scratch reimplementation of the
 documented selection stream (SHA-256 counter keystream + partial
 Fisher-Yates); the simulator's sampler must agree with it draw for draw.
+``reference_class_counts`` likewise reimplements the documented label stream
+(Philox4x64-10 from its published rounds, largest-remainder rounding) in
+plain Python integers and floats.
 """
 
 import hashlib
@@ -18,7 +21,10 @@ from fedsust.fedsim import (
     SimulationError,
     accumulate_class_distribution,
     aggregate_model,
+    _label_bit_generator,
+    _largest_remainder,
     client_class_counts,
+    fleet_class_counts,
     hash_label,
     run_federation,
     run_salt,
@@ -55,6 +61,51 @@ def reference_sample(seed: int, round_index: int, population: int, draw: int) ->
         target = position + offset
         arrangement[position], arrangement[target] = arrangement[target], arrangement[position]
     return tuple(sorted(arrangement[:draw]))
+
+
+_U64 = 2**64 - 1
+
+
+def _philox4x64_10(counter: list[int], key: list[int]) -> list[int]:
+    """One Philox4x64-10 block (Salmon et al., SC'11), four 64-bit words."""
+    x, (k0, k1) = list(counter), key
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * x[0]
+        p1 = 0xCA5A826395121157 * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _U64, (p0 >> 64) ^ x[3] ^ k1, p0 & _U64]
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _U64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _U64
+    return x
+
+
+def label_key(seed: int) -> list[int]:
+    digest = hashlib.sha256(b"fedsust-labels" + seed.to_bytes(8, "big")).digest()
+    return [int.from_bytes(digest[0:8], "big"), int.from_bytes(digest[8:16], "big")]
+
+
+def reference_class_counts(seed: int, client: int, dataset_size: int, classes: int) -> dict:
+    """Independent oracle for the documented label stream and rounding."""
+    key = label_key(seed)
+    first = client * classes
+    props = []
+    for position in range(first, first + classes):
+        word = _philox4x64_10([position // 4 + 1, 0, 0, 0], key)[position % 4]
+        props.append((word >> 11) * 2.0**-53)
+    counts = reference_round(props, dataset_size)
+    return {f"class_{j}": n for j, n in enumerate(counts) if n}
+
+
+def reference_round(props: list[float], dataset_size: int) -> list[int]:
+    """The documented largest-remainder rounding of one row of proportions."""
+    total = 0.0
+    for p in props:
+        total += p
+    raw = [(p / total) * dataset_size for p in props]
+    counts = [math.floor(r) for r in raw]
+    order = sorted(range(len(props)), key=lambda j: (-(raw[j] - counts[j]), j))
+    for j in order[: dataset_size - sum(counts)]:
+        counts[j] += 1
+    return counts
 
 
 def make_config(**kwargs):
@@ -107,6 +158,14 @@ class TestSampleClients:
             for t in range(250):
                 assert sample_clients(n, m, SelectionStream(seed, t)) == \
                     reference_sample(seed, t, n, m)
+
+    def test_matches_list_reference_on_random_cases(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, 10, 257, rng.randint(1, 5000)))
+            m = rng.randint(1, n)
+            seed, t = rng.getrandbits(64), rng.getrandbits(20)
+            assert sample_clients(n, m, SelectionStream(seed, t)) == reference_sample(seed, t, n, m)
 
     def test_single_draw_frequencies_are_uniform(self):
         # 1e5 draws of 1 from 8: each client expected at 12500 +- 3 sigma
@@ -191,6 +250,69 @@ class TestClassDistribution:
         dist: dict[str, int] = {}
         accumulate_class_distribution(dist, {"class_3": 5}, salt)
         assert "class_3" not in dist
+
+
+class TestLabelStream:
+    @pytest.mark.parametrize("classes", [1, 3, 10, 37])
+    def test_batch_rows_equal_single_client_draws(self, classes):
+        rng = random.Random(classes)
+        for _ in range(20):
+            seed = rng.getrandbits(64)
+            dataset_size = rng.choice((1, 2, 3, classes + 1, rng.randint(1, 4 * classes)))
+            batch = fleet_class_counts(seed, 40, dataset_size, classes)
+            assert batch.shape == (40, classes) and batch.dtype == np.int64
+            for c in rng.sample(range(40), 6):
+                assert client_class_counts(seed, c, dataset_size, classes) == {
+                    f"class_{j}": int(v) for j, v in enumerate(batch[c]) if v
+                }
+
+    @pytest.mark.parametrize("classes", [1, 3, 10, 37])
+    def test_every_row_sums_to_dataset_size(self, classes):
+        for dataset_size in (1, 2, classes, classes + 1, 57, 10_007):
+            batch = fleet_class_counts(5, 300, dataset_size, classes)
+            assert (batch >= 0).all()
+            assert (batch.sum(axis=1) == dataset_size).all()
+
+    def test_matches_independent_reference(self):
+        rng = random.Random(8)
+        for _ in range(25):
+            seed, classes = rng.getrandbits(64), rng.choice((1, 3, 10, 37))
+            dataset_size = rng.randint(1, 3 * classes)
+            client = rng.choice((0, 1, 2, 3, rng.randint(0, 10**6)))
+            assert client_class_counts(seed, client, dataset_size, classes) == \
+                reference_class_counts(seed, client, dataset_size, classes)
+
+    @pytest.mark.parametrize("classes", [3, 10, 37])
+    def test_tied_and_inexact_rows_follow_the_documented_rounding(self, classes):
+        # repeated proportions tie their remainders, which must stay in class order; decimal
+        # fractions are inexact in binary, so the left-to-right total decides some floors
+        rng = random.Random(classes)
+        for _ in range(100):
+            rows = [[rng.choice((0.1, 0.2, 0.3, 0.7)) for _ in range(classes)] for _ in range(3)]
+            dataset_size = rng.randint(1, 1000)
+            assert _largest_remainder(np.array(rows), dataset_size).tolist() == \
+                [reference_round(row, dataset_size) for row in rows]
+
+    def test_key_is_the_exact_digest_words(self):
+        # with one key word >= 2**63 and one below, a Python list of the two becomes a
+        # float64 array, and a key once built from such a list lost its low bits
+        seed = next(s for s in range(100) if sum(w >= 2**63 for w in label_key(s)) == 1)
+        key = _label_bit_generator(seed).state["state"]["key"]
+        assert [int(w) for w in key] == label_key(seed)
+        assert client_class_counts(seed, 3, 50, 10) == reference_class_counts(seed, 3, 50, 10)
+
+    def test_run_hashes_the_column_totals(self, tables):
+        config = make_config(num_clients=30, dataset_size=7, num_label_classes=12)
+        state = run_federation(config, tables)
+        salt = run_salt(config.seed)
+        batch = fleet_class_counts(config.seed, 30, 7, 12)
+        assert state.class_distribution == {
+            hash_label(salt, f"class_{j}"): int(t) for j, t in enumerate(batch.sum(axis=0)) if t
+        }
+        for c, stats in state.statistics.items():
+            assert stats.class_balance == {
+                hash_label(salt, f"class_{j}"): int(v) for j, v in enumerate(batch[c]) if v
+            }
 
 
 # ── full runs ─────────────────────────────────────────────────────────────
