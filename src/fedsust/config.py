@@ -43,11 +43,17 @@ __all__ = [
     "config_digest",
     "load_scenario",
     "parse_config",
+    "read_json",
 ]
 
 SHARE_SUM_TOL = 1e-9
 RATE_TOL = 1e-9
 MAX_SEED = 2**64 - 1
+# ImageNet-1k's class count; simulate holds a num_clients x num_label_classes
+# float64 array, so the ceiling bounds its width
+MAX_LABEL_CLASSES = 1000
+# deepest container nesting accepted in a scenario file
+MAX_JSON_DEPTH = 100
 
 
 class ConfigError(ValueError):
@@ -126,17 +132,62 @@ class FederationConfig:
 def load_scenario(path: str | Path) -> FederationConfig:
     """Load and validate a scenario file."""
     path = Path(path)
+    what = f"scenario file {path}"
     try:
-        text = path.read_text(encoding="utf-8")
+        data = read_json(path, what, ConfigError, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
-    except ValueError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"scenario file {path} must contain a JSON object")
+        raise ConfigError(f"{what} must contain a JSON object")
+    _check_writable(data, what, depth=1)
     return parse_config(data, default_name=path.stem)
+
+
+def read_json(path: str | Path, what: str, error: type[ValueError], **hooks):
+    """Parse the JSON file ``path``; malformed content raises ``error`` naming ``what``.
+
+    Malformed means bytes that are not UTF-8, text that is not JSON, or
+    nesting too deep for the parser. ``OSError`` propagates. ``hooks`` are
+    passed to :func:`json.loads`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from None
+    try:
+        return json.loads(text, **hooks)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{what} nests too deeply to parse") from None
+
+
+def _check_writable(container: dict | list, what: str, depth: int) -> None:
+    """Reject scenario content the outputs could not be written with.
+
+    Names and ``statistics`` are echoed into the reports, whose writers
+    recurse once per level and encode to UTF-8: nesting deeper than
+    ``MAX_JSON_DEPTH`` and lone surrogate escapes (``"\\ud800"``) are errors.
+    """
+    if depth > MAX_JSON_DEPTH:
+        raise ConfigError(f"{what} nests deeper than {MAX_JSON_DEPTH} levels")
+    if isinstance(container, dict):
+        strings, items = [*container], container.values()
+    else:
+        strings, items = [], container
+    for item in items:
+        if isinstance(item, str):
+            strings.append(item)
+        elif isinstance(item, (dict, list)):
+            _check_writable(item, what, depth + 1)
+    text = "".join(strings)
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{what} holds a lone surrogate escape, which is not valid Unicode") from None
 
 
 def _finite_number(text: str) -> float:
@@ -172,6 +223,10 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {seed!r}")
 
     num_label_classes = _int_field(data, "num_label_classes", minimum=1, default=10)
+    if num_label_classes > MAX_LABEL_CLASSES:
+        raise ConfigError(
+            f"field 'num_label_classes' must be <= {MAX_LABEL_CLASSES}, got {num_label_classes}"
+        )
 
     energy_raw = data.get("energy_model", {})
     if not isinstance(energy_raw, dict):

@@ -41,6 +41,9 @@ Synthetic label splits come from one run-wide Philox4x64-10 stream
   goes one each to the largest remainders ``raw_j - count_j``, ties to the
   lower class index. Class ``j`` is labelled ``class_j``; zero counts are
   omitted.
+
+numpy is imported only by the label stream and :func:`aggregate_model`, on
+first call, so the commands that never simulate do not load it.
 """
 
 from __future__ import annotations
@@ -51,12 +54,14 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import FederationConfig
 from .emissions import EmissionsLog, energy_to_co2, estimate_energy, track_phase
 from .refdata import ReferenceTables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -129,6 +134,8 @@ def aggregate_model(updates) -> np.ndarray:
     ``updates`` is a sequence of vectors or an ``(m, L)`` array, one update
     per row.
     """
+    import numpy as np
+
     try:
         stacked = np.asarray(updates, dtype=np.float64)
     except ValueError:
@@ -155,6 +162,8 @@ def hash_label(salt: bytes, label: str) -> str:
 
 def _label_bit_generator(seed: int) -> np.random.Philox:
     """The run's label stream, positioned at its first word."""
+    import numpy as np
+
     digest = hashlib.sha256(_LABEL_TAG + seed.to_bytes(8, "big")).digest()
     key = np.array([int.from_bytes(digest[0:8], "big"), int.from_bytes(digest[8:16], "big")],
                    dtype=np.uint64)
@@ -163,6 +172,8 @@ def _label_bit_generator(seed: int) -> np.random.Philox:
 
 def _largest_remainder(props: np.ndarray, dataset_size: int) -> np.ndarray:
     """Round each row of proportions to int64 counts summing to ``dataset_size``."""
+    import numpy as np
+
     # summed left to right, so a row's total does not depend on the batch shape
     total = np.cumsum(props, axis=1)[:, -1:]
     raw = (props / total) * dataset_size
@@ -181,6 +192,8 @@ def fleet_class_counts(seed: int, num_clients: int, dataset_size: int, num_class
     ``num_classes`` classes, drawn from the label stream (module docstring)
     in one call, so fleets are label-imbalanced as real federations are.
     """
+    import numpy as np
+
     gen = np.random.Generator(_label_bit_generator(seed))
     return _largest_remainder(gen.random((num_clients, num_classes)), dataset_size)
 
@@ -190,6 +203,8 @@ def client_class_counts(seed: int, client_index: int, dataset_size: int, num_cla
 
     Zero counts are omitted; ``sum(counts) == dataset_size`` exactly.
     """
+    import numpy as np
+
     if client_index < 0:
         raise SimulationError(f"client index must be >= 0, got {client_index}")
     bits = _label_bit_generator(seed)

@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 from . import __version__
-from .config import FederationConfig, config_digest
+from .config import FederationConfig, config_digest, read_json
 from .fedsim import FederationState, hash_client_id, run_salt
 from .scoring import KIND_METRIC, ScoreError, ScoreNode, trust_score
 
@@ -151,11 +151,9 @@ def load_pillar_fixture(path: str | Path) -> dict[str, float]:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json(path, f"pillar file {path}", ScoreError)
     except OSError as exc:
         raise ScoreError(f"cannot read pillar file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScoreError(f"pillar file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "pillars" not in data or not isinstance(data["pillars"], dict):
         raise ScoreError(f"pillar file {path} must contain a 'pillars' object")
     resolved = {

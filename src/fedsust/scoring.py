@@ -25,9 +25,10 @@ Normalization variants:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
+
+from .config import read_json
 
 __all__ = [
     "CARBON_INTENSITY_RULE",
@@ -340,11 +341,7 @@ def trust_score(pillar_scores: list[float], weights: list[float]) -> float:
 
 def load_weight_config(path) -> dict[str, float]:
     """Read a weight file: a JSON object mapping node dot-paths to weights."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScoreError(f"weight file {path}: invalid JSON ({exc})") from exc
+    data = read_json(path, f"weight file {path}", ScoreError)
     if not isinstance(data, dict):
         raise ScoreError(f"weight file {path}: expected a JSON object")
     weights: dict[str, float] = {}

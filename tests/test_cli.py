@@ -1,9 +1,14 @@
 """Tests for the command-line interface: commands, exit codes, outputs."""
 
+import functools
 import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +153,61 @@ class TestValidate:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: validation:") and "'b'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe\x00",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"privacy": 1' + b"0" * 5000 + b"}",  # beyond the interpreter's int-string limit
+    ], ids=["not-utf8", "nested-1e5", "5001-digit-int"])
+    @pytest.mark.parametrize("kind", ["config", "weights", "pillars"])
+    def test_unparsable_input_file_is_a_validation_error(self, capsys, tmp_path, uc, kind, content):
+        p = tmp_path / "input.json"
+        p.write_bytes(content)
+        argv = ["--config", str(p)] if kind == "config" else ["--config", uc("uc_a"), f"--{kind}", str(p)]
+        code, out, err = run(capsys, "score", *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", "\ud800"),
+        ("statistics", functools.reduce(lambda inner, _: {"deep": inner}, range(500), 0)),
+    ], ids=["lone-surrogate", "nested-500"])
+    def test_scenario_value_that_cannot_be_written_back_is_rejected(self, capsys, tmp_path, uc,
+                                                                      field, value):
+        data = json.loads(open(uc("uc_a")).read())
+        data[field] = value
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))  # ascii: the surrogate is written as an escape
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("classes", [10**12, 1001])
+    def test_label_classes_above_the_ceiling_rejected(self, capsys, tmp_path, uc, classes):
+        data = json.loads(open(uc("uc_a")).read())
+        data["num_label_classes"] = classes
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "num_label_classes" in err and "1000" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_label_classes_at_the_ceiling_accepted(self, capsys, tmp_path, uc):
+        data = json.loads(open(uc("uc_a")).read())
+        data["num_label_classes"] = 1000
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, _, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / command))
+            assert code == 0 and not err, command
+        sheet = json.loads((tmp_path / "simulate" / "factsheet.json").read_text())
+        assert sum(sheet["during_training"]["class_distribution"].values()) == 5 * 100
 
     def test_weight_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path, uc):
         p = tmp_path / "w.json"
@@ -351,3 +411,38 @@ class TestCompare:
                            "--config", uc("proposal_b"), "--out", str(tmp_path))
         assert code == 1
         assert "--pillars" in err
+
+
+# ── imports ───────────────────────────────────────────────────────────────
+
+
+def test_only_simulate_loads_numpy(tmp_path, scenario_dir, pillar_dir):
+    # a fresh interpreter: validate, score and compare run without numpy;
+    # simulate imports it at its label draw
+    script = textwrap.dedent("""
+        import sys
+        import fedsust, fedsust.cli
+        scenarios, pillars, out = sys.argv[1:]
+        uc_a = f"{scenarios}/uc_a.json"
+        calls = [
+            ["validate", "--config", uc_a],
+            ["score", "--config", f"{scenarios}/proposal_b.json",
+             "--pillars", f"{pillars}/proposal_b_pillars.json", "--out", out],
+            ["compare", "--config", f"{scenarios}/proposal_a.json",
+             "--config", f"{scenarios}/proposal_b.json",
+             "--pillars", f"{pillars}/proposal_a_pillars.json",
+             "--pillars", f"{pillars}/proposal_b_pillars.json", "--out", out],
+        ]
+        for argv in calls:
+            assert fedsust.cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy loaded before simulate"
+        assert fedsust.cli.main(["simulate", "--config", uc_a, "--out", out]) == 0
+        assert "numpy" in sys.modules, "simulate ran without numpy"
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_dir), str(pillar_dir), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "factsheet.json").exists()

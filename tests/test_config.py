@@ -1,10 +1,21 @@
 """Tests for scenario parsing, validation, and derived sampling quantities."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsust.config import ConfigError, EnergyModel, config_digest, load_scenario, parse_config
+from fedsust.config import (
+    MAX_JSON_DEPTH,
+    ConfigError,
+    EnergyModel,
+    FederationConfig,
+    config_digest,
+    load_scenario,
+    parse_config,
+)
 
 
 BASE = dict(
@@ -20,6 +31,15 @@ BASE = dict(
     server_hardware="Intel Core i7-1250U",
     server_location="CH",
     seed=1,
+)
+
+
+_TEXT = st.text(st.sampled_from(["a", "\u00e9", "\x00", '"', "\\", "\U0001f600"]), max_size=8)
+# json.dumps writes a lone surrogate as a \ud800-style escape
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT | st.just("\ud800"),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
 )
 
 
@@ -190,6 +210,35 @@ class TestLoadScenario:
         p.write_text(text.replace('"accuracy": 0.5', f'"accuracy": {literal}'))
         with pytest.raises(ConfigError, match="non-finite"):
             load_scenario(p)
+
+    @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1])
+    def test_nesting_ceiling(self, tmp_path, depth):
+        # the scenario object is level 1; statistics adds depth - 1 levels
+        statistics = functools.reduce(lambda inner, _: {"k": inner}, range(depth - 1), 0)
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(dict(BASE, statistics=statistics)))
+        if depth <= MAX_JSON_DEPTH:
+            assert load_scenario(p).statistics == statistics
+        else:
+            with pytest.raises(ConfigError, match=f"deeper than {MAX_JSON_DEPTH}"):
+                load_scenario(p)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(raw=st.binary(max_size=64)
+           | _JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8"))
+           | st.dictionaries(st.sampled_from(sorted(BASE) + ["num_label_classes", "energy_model",
+                                                             "score_overrides", "statistics"]),
+                             st.integers(-1, 2000) | st.floats(0, 1.5) | _JSON_VALUES, max_size=3)
+             .map(lambda changes: json.dumps(dict(BASE, **changes)).encode("utf-8")))
+    def test_any_file_loads_or_raises_config_error(self, tmp_path_factory, raw):
+        # arbitrary bytes, arbitrary JSON, and BASE with up to three fields replaced
+        p = tmp_path_factory.getbasetemp() / "arbitrary.json"
+        p.write_bytes(raw)
+        try:
+            config = load_scenario(p)
+        except ConfigError:
+            return
+        assert isinstance(config, FederationConfig)
 
     def test_digest_is_stable_and_sensitive(self):
         a, b = cfg(), cfg()
