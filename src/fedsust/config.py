@@ -52,6 +52,9 @@ MAX_SEED = 2**64 - 1
 # ImageNet-1k's class count; simulate holds a num_clients x num_label_classes
 # float64 array, so the ceiling bounds its width
 MAX_LABEL_CLASSES = 1000
+# the count anchors of the complexity score stop at 10^6 clients, and simulate
+# keeps per-client lists and a num_clients x num_label_classes label array
+MAX_CLIENTS = 10**6
 # deepest container nesting accepted in a scenario file
 MAX_JSON_DEPTH = 100
 
@@ -211,6 +214,8 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
 
     num_clients = _int_field(data, "num_clients", minimum=1)
+    if num_clients > MAX_CLIENTS:
+        raise ConfigError(f"field 'num_clients' must be <= {MAX_CLIENTS}, got {num_clients}")
     total_rounds = _int_field(data, "total_rounds", minimum=1)
     local_rounds = _int_field(data, "local_rounds", minimum=1)
     dataset_size = _int_field(data, "dataset_size", minimum=1)

@@ -3,18 +3,19 @@
 Reports are written in a canonical form -- sorted keys, two-space indent,
 a trailing newline, scores rendered both as two-decimal display strings and
 as full-precision ``*_raw`` floats -- so equal inputs always produce equal
-bytes. Files are written atomically (temp file + rename), and no raw client
-identifier ever appears in the output: clients and labels show up only under
-per-run salted hashes.
+bytes; the module's own writer gives exactly the bytes of ``json.dumps`` with
+those settings. Files are written atomically (temp file + rename), and no raw
+client identifier ever appears in the output: clients and labels show up only
+under per-run salted hashes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__
@@ -354,9 +355,72 @@ def _check_self_consistency(report: dict) -> None:
 
 
 def render_report(report: dict) -> bytes:
-    """Canonical bytes of a report mapping: sorted keys, trailing newline."""
-    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """UTF-8 of ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False,
+    allow_nan=False)`` and a newline. A non-finite float raises ``ValueError``; a
+    non-``str`` key or a type other than exact dict, list, tuple, str, int, float,
+    bool and ``None`` raises ``TypeError``."""
+    chunks: list[str] = []
+    _write_json(report, chunks, "\n", {})
+    chunks.append("\n")
+    return "".join(chunks).encode("utf-8")
+
+
+def _finite_repr(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# How each scalar is written; strings go through json's own (C) escaper.
+_SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
+            bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
+
+
+def _write_json(value, chunks: list[str], newline: str, prefixes: dict) -> None:
+    """Append the JSON of ``value``, laid out at the padding of ``newline``.
+
+    ``prefixes`` caches each key's ``,<newline>"key": `` per padding, since a
+    factsheet's client entries repeat a few field names and label hashes.
+    """
+    kind = type(value)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        chunks.append(write(value))
+    elif kind is dict and value:
+        inner = newline + "  "
+        cache = prefixes.get(inner)
+        if cache is None:
+            cache = prefixes[inner] = {}
+        emit, scalar = chunks.append, _SCALARS.get
+        emit("{")
+        first = len(chunks)
+        for key in sorted(value):
+            prefix = cache.get(key)
+            if prefix is None:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                prefix = cache[key] = f",{inner}{encode_basestring(key)}: "
+            item = value[key]
+            write = scalar(type(item))
+            if write is None:
+                emit(prefix)
+                _write_json(item, chunks, inner, prefixes)
+            else:
+                emit(prefix + write(item))
+        chunks[first] = chunks[first][1:]  # no comma before the first key
+        emit(newline + "}")
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            _write_json(item, chunks, inner, prefixes)
+            separator = "," + inner
+        chunks.append(newline + "]")
+    elif kind is dict or kind is list or kind is tuple:
+        chunks.append("{}" if kind is dict else "[]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def emissions_summary(state: FederationState) -> dict:

@@ -341,7 +341,10 @@ def trust_score(pillar_scores: list[float], weights: list[float]) -> float:
 
 def load_weight_config(path) -> dict[str, float]:
     """Read a weight file: a JSON object mapping node dot-paths to weights."""
-    data = read_json(path, f"weight file {path}", ScoreError)
+    try:
+        data = read_json(path, f"weight file {path}", ScoreError)
+    except OSError as exc:
+        raise ScoreError(f"cannot read weight file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScoreError(f"weight file {path}: expected a JSON object")
     weights: dict[str, float] = {}

@@ -11,6 +11,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsust.cli import main
 
@@ -19,6 +21,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_HARDWARE = ("Intel Core i7-1250U", "AMD FX-9590", "Intel Xeon E5-2650", "NVIDIA GeForce RTX 3060")
+_LOCATIONS = ("AL", "ch", "ZA", "US", "203.0.113.128", "node-eu-7")
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenarios with N <= 50 and T <= 5, in all three mix forms."""
+    n = draw(st.integers(1, 50))
+
+    def mix(pool, key):
+        form = draw(st.integers(0, 2))
+        if form == 0:
+            return draw(st.sampled_from(pool))
+        if form == 1:
+            return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        parts = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        return [{"share": part / sum(parts), key: value} for part, value in zip(parts, values)]
+
+    return {
+        "name": "drawn",
+        "num_clients": n,
+        "total_rounds": draw(st.integers(1, 5)),
+        "sample_size": draw(st.integers(1, n)),
+        "local_rounds": draw(st.integers(1, 3)),
+        "dataset_size": draw(st.integers(1, 500)),
+        "model_size": draw(st.integers(1, 10**9)),
+        "client_hardware": mix(_HARDWARE, "model"),
+        "client_locations": mix(_LOCATIONS, "location"),
+        "server_hardware": draw(st.sampled_from(_HARDWARE)),
+        "server_location": draw(st.sampled_from(_LOCATIONS)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "num_label_classes": draw(st.integers(1, 12)),
+    }
 
 
 @pytest.fixture()
@@ -209,6 +247,40 @@ class TestValidate:
         sheet = json.loads((tmp_path / "simulate" / "factsheet.json").read_text())
         assert sum(sheet["during_training"]["class_distribution"].values()) == 5 * 100
 
+    @pytest.mark.parametrize("clients", [10**12, 10**6 + 1])
+    def test_num_clients_above_the_ceiling_rejected(self, capsys, tmp_path, uc, clients):
+        data = json.loads(open(uc("uc_a")).read())
+        data["num_clients"] = clients
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "num_clients" in err and "1000000" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_num_clients_at_the_ceiling_accepted(self, capsys, tmp_path, uc):
+        data = json.loads(open(uc("uc_a")).read())
+        data["num_clients"] = 10**6
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score"):
+            code, _, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / command))
+            assert code == 0 and not err, command
+        report = json.loads((tmp_path / "score" / "trust_report.json").read_text())
+        assert report["metrics"]["sustainability.federation_complexity.num_clients"]["raw"] == 10**6
+
+    @pytest.mark.parametrize("kind", ["config", "weights", "pillars"])
+    def test_missing_input_file_is_a_validation_error(self, capsys, tmp_path, uc, kind):
+        missing = str(tmp_path / "missing.json")
+        argv = ["--config", missing] if kind == "config" else ["--config", uc("uc_a"), f"--{kind}", missing]
+        code, out, err = run(capsys, "score", *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation: cannot read ")
+        assert missing in err
+        assert not (tmp_path / "out").exists()
+
     def test_weight_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path, uc):
         p = tmp_path / "w.json"
         p.write_text('{"sustainability.carbon_intensity": 1' + "0" * 324 + "}")
@@ -365,6 +437,17 @@ class TestSimulate:
         assert code == 0
         for name in ("trust_report.json", "factsheet.json", "emissions.csv"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    @given(scenario=small_scenarios())
+    def test_repeat_runs_write_the_same_bytes(self, tmp_path_factory, scenario):
+        base = tmp_path_factory.mktemp("repeat")
+        (base / "x.json").write_text(json.dumps(scenario))
+        for d in ("one", "two"):
+            assert main(["simulate", "--config", str(base / "x.json"), "--out", str(base / d)]) == 0
+        for name in ("trust_report.json", "factsheet.json", "emissions.csv"):
+            assert (base / "one" / name).read_bytes() == (base / "two" / name).read_bytes(), name
+
 
 
 # ── compare ───────────────────────────────────────────────────────────────

@@ -1,8 +1,12 @@
 """Tests for factsheet population, report rendering, and external pillars."""
 
 import json
+import math
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsust.config import parse_config
 from fedsust.fedsim import run_federation
@@ -261,3 +265,72 @@ class TestTrustReport:
         write_atomic(target, b"two\n")
         assert target.read_bytes() == b"two\n"
         assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+
+
+# ── canonical writer ──────────────────────────────────────────────────────
+
+
+def canonical_json(value) -> bytes:
+    text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+# quotes, backslashes, control characters and non-ASCII text, never a lone surrogate
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028é€😀ab')
+                | st.characters(codec="utf-8"), max_size=8)
+_SCALARS = (
+    _TEXT
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0.1])
+    | st.booleans()
+    | st.none()
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _nested(leaf):
+    """``leaf`` at one drawn position inside nested lists and dicts of valid values."""
+    return st.recursive(leaf, lambda inner: (
+        st.tuples(st.lists(_VALUES, max_size=2), inner, st.lists(_VALUES, max_size=2))
+        .map(lambda t: [*t[0], t[1], *t[2]])
+        | st.tuples(st.dictionaries(_TEXT, _VALUES, max_size=2), _TEXT, inner)
+        .map(lambda t: {**t[0], t[1]: t[2]})
+    ), max_leaves=6)
+
+
+class TestCanonicalWriter:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @given(value=_VALUES)
+    def test_bytes_equal_json_dumps(self, value):
+        assert render_report(value) == canonical_json(value)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(value=_nested(st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_non_finite_float_anywhere_raises_value_error(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report(value)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(value=_nested(st.sampled_from([object(), b"bytes", {1, 2}, 1j, Decimal("0.5"), {1: "int key"},
+                                          {None: 0}, range(2)])))
+    def test_unsupported_type_or_key_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            render_report(value)
+
+    def test_bundled_reports_match_json_dumps(self, tables):
+        config = make_config(num_clients=7, client_locations=["CH", "CH", "ZA", "ZA", "ZA", "AL", "AL"],
+                             statistics={"note": "é \"quoted\"\n", "nested": {"xs": [1, 2.5, None]}})
+        state = run_federation(config, tables)
+        sheet = populate_factsheet(config, state, config.statistics).as_dict()
+        report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS,
+                                    emissions_summary=emissions_summary(state))
+        for value in (sheet, report):
+            assert render_report(value) == canonical_json(value)
