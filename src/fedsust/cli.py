@@ -19,7 +19,6 @@ from .config import ConfigError, load_scenario
 from .fedsim import run_federation
 from .refdata import ReferenceDataError, ReferenceTables
 from .report import (
-    FactSheetError,
     build_trust_report,
     display_score,
     emissions_summary,
@@ -59,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ScoreError, FactSheetError) as exc:
+    except (ConfigError, ScoreError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ReferenceDataError as exc:
@@ -120,8 +119,14 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
     scores the sustainability pillar, loads the ``which``-th ``--pillars``
     file (the last one when fewer are given) and takes the trust-weight
     subset. Returns ``(config, scored pillar, externals, trust weights)``;
-    the last two are ``None`` without ``--pillars``.
+    the last two are ``None`` without ``--pillars``. More ``--pillars`` than
+    ``--config`` files is an error: the extra ones would never be read.
     """
+    configs = args.config if isinstance(args.config, list) else [args.config]
+    if args.pillars and len(args.pillars) > len(configs):
+        raise ConfigError(
+            f"got {len(args.pillars)} --pillars files for {len(configs)} --config file(s)"
+        )
     config = load_scenario(config_path)
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
@@ -217,7 +222,7 @@ def cmd_simulate(args) -> int:
     tables = ReferenceTables.load()
     config, scored, externals, trust_w = _evaluate(args, tables, args.config)
     state = run_federation(config, tables)
-    factsheet = populate_factsheet(config, state, config.statistics or None, strict=False)
+    factsheet = populate_factsheet(config, state)
     report = build_trust_report(
         config, scored, externals,
         emissions_summary=emissions_summary(state),

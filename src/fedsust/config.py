@@ -55,6 +55,9 @@ MAX_LABEL_CLASSES = 1000
 # the count anchors of the complexity score stop at 10^6 clients, and simulate
 # keeps per-client lists and a num_clients x num_label_classes label array
 MAX_CLIENTS = 10**6
+# the size anchors of the complexity score stop at 10^10 samples; above ~10^16 the
+# float64 label split of simulate no longer sums to dataset_size, and at 2^63 it overflows
+MAX_DATASET_SIZE = 10**10
 # deepest container nesting accepted in a scenario file
 MAX_JSON_DEPTH = 100
 
@@ -213,12 +216,10 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     if unknown:
         raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
 
-    num_clients = _int_field(data, "num_clients", minimum=1)
-    if num_clients > MAX_CLIENTS:
-        raise ConfigError(f"field 'num_clients' must be <= {MAX_CLIENTS}, got {num_clients}")
+    num_clients = _int_field(data, "num_clients", minimum=1, maximum=MAX_CLIENTS)
     total_rounds = _int_field(data, "total_rounds", minimum=1)
     local_rounds = _int_field(data, "local_rounds", minimum=1)
-    dataset_size = _int_field(data, "dataset_size", minimum=1)
+    dataset_size = _int_field(data, "dataset_size", minimum=1, maximum=MAX_DATASET_SIZE)
     model_size = _int_field(data, "model_size", minimum=1)
 
     sample_size, selection_rate = _sampling_fields(data, num_clients)
@@ -227,11 +228,8 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {seed!r}")
 
-    num_label_classes = _int_field(data, "num_label_classes", minimum=1, default=10)
-    if num_label_classes > MAX_LABEL_CLASSES:
-        raise ConfigError(
-            f"field 'num_label_classes' must be <= {MAX_LABEL_CLASSES}, got {num_label_classes}"
-        )
+    num_label_classes = _int_field(data, "num_label_classes", minimum=1, maximum=MAX_LABEL_CLASSES,
+                                   default=10)
 
     energy_raw = data.get("energy_model", {})
     if not isinstance(energy_raw, dict):
@@ -310,7 +308,8 @@ def _sampling_fields(data: dict, num_clients: int) -> tuple[int, float]:
     return sample_size, rate
 
 
-def _int_field(data: dict, name: str, minimum: int, default: int | None = None) -> int:
+def _int_field(data: dict, name: str, minimum: int, maximum: int | None = None,
+               default: int | None = None) -> int:
     if name not in data:
         if default is not None:
             return default
@@ -323,6 +322,8 @@ def _int_field(data: dict, name: str, minimum: int, default: int | None = None) 
     _require_real(name, value)
     if value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"field {name!r} must be <= {maximum}, got {value}")
     return value
 
 

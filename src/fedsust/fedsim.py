@@ -42,6 +42,13 @@ Synthetic label splits come from one run-wide Philox4x64-10 stream
   lower class index. Class ``j`` is labelled ``class_j``; zero counts are
   omitted.
 
+Client records
+--------------
+Every client is hashed once per run, by :func:`hash_client_id` under
+:func:`run_salt`. The node id of a client's emission rows is also the key of
+its per-client data in :class:`FederationState`, whose entries are already in
+the factsheet's form.
+
 numpy is imported only by the label stream and :func:`aggregate_model`, on
 first call, so the commands that never simulate do not load it.
 """
@@ -53,7 +60,7 @@ import hashlib
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import FederationConfig
@@ -66,7 +73,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ClientStatistics",
     "FederationState",
     "SelectionStream",
     "SimulationError",
@@ -238,25 +244,20 @@ def accumulate_class_distribution(
 
 
 @dataclass
-class ClientStatistics:
-    """Per-client summary reported at the end of a run."""
-
-    participation_rate: float
-    avg_training_time_s: float
-    dataset_size: int
-    class_balance: dict[str, int]
-
-
-@dataclass
 class FederationState:
-    """Final simulator state after the last round."""
+    """Final simulator state after the last round.
+
+    Per-client data is keyed by the salted node id that the client's emission
+    rows carry; each ``client_statistics`` entry is the factsheet's entry:
+    ``participation_rate``, ``avg_training_time_s``, ``dataset_size`` and
+    ``class_balance``.
+    """
 
     round: int
-    selection_counts: dict[int, int]
+    selection_counts: dict[str, int]
     class_distribution: dict[str, int]
     emissions: EmissionsLog
-    client_countries: list[str]
-    statistics: dict[int, ClientStatistics] = field(default_factory=dict)
+    client_statistics: dict[str, dict]
 
 
 def _assign_by_share(mix: tuple[tuple[float, str], ...], population: int) -> list[str]:
@@ -289,8 +290,8 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     Per round, serially: draw ``sample_size`` clients without replacement,
     log a training row per drawn client (plus a communication row when
     communication energy is priced) and one server aggregation row. Rows
-    are priced once per (TDP, grid intensity) pair and a client is hashed on
-    its first draw; each round sorts only its own rows. Label splits are
+    are priced once per (TDP, grid intensity) pair and every client is hashed
+    once, up front; each round sorts only its own rows. Label splits are
     drawn for the whole fleet in one batch, and each class label is hashed
     once per run. Every random draw is addressed by the seed and a round or
     client index, so results depend on nothing but ``(config, seed)``.
@@ -299,6 +300,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     n = config.num_clients
     m = config.sample_size
+    rounds = config.total_rounds
     seed = config.seed
     salt = run_salt(seed)
 
@@ -311,7 +313,9 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     server_intensity = tables.grid.lookup_intensity(server_country)
 
     log = EmissionsLog()
-    selection_counts: dict[int, int] = {c: 0 for c in range(n)}
+    node_ids = [hash_client_id(salt, c) for c in range(n)]
+    selection_counts = [0] * n
+    training_seconds = [0.0] * n
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     totals = {label: total for label, total in zip(labels, label_counts.sum(axis=0).tolist()) if total}
@@ -323,7 +327,6 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     comm_bytes = 8.0 * config.model_size  # one upload + one download at 4 bytes/parameter
     em = config.energy_model
     comm_energy = em.comm_energy_per_byte * comm_bytes
-    training_seconds: dict[int, float] = {c: 0.0 for c in range(n)}
 
     @functools.cache
     def price(tdp: float, intensity: float) -> tuple[tuple, ...]:
@@ -335,15 +338,11 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
             rows = (comm, *rows)
         return rows
 
-    node_ids: dict[int, str] = {}  # hashed on a client's first draw
-
-    for t in range(1, config.total_rounds + 1):
+    for t in range(1, rounds + 1):
         selected = sample_clients(n, m, SelectionStream(seed, t))
         for client in selected:
             selection_counts[client] += 1
             training_seconds[client] += train_time
-            if client not in node_ids:
-                node_ids[client] = hash_client_id(salt, client)
         ordered = sorted(selected, key=node_ids.__getitem__)
         log._extend([
             (t, "client", node_ids[c], *row)
@@ -353,23 +352,23 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         track_phase(log, node_id="server", role="server", phase="aggregation", round_index=t,
                     model=em, hardware=server_hw, duration_s=agg_time, intensity=server_intensity)
 
-    statistics = {
-        c: ClientStatistics(
-            participation_rate=selection_counts[c] / config.total_rounds,
-            avg_training_time_s=(
-                training_seconds[c] / selection_counts[c] if selection_counts[c] else 0.0
-            ),
-            dataset_size=config.dataset_size,
-            class_balance={h: v for h, v in zip(hashed_labels, row) if v},
+    client_statistics = {
+        node_id: {
+            "participation_rate": count / rounds,
+            # the repeated sum, not train_time: (0.1 + 0.1 + 0.1) / 3 != 0.1
+            "avg_training_time_s": seconds / count if count else 0.0,
+            "dataset_size": config.dataset_size,
+            "class_balance": {h: v for h, v in zip(hashed_labels, row) if v},
+        }
+        for node_id, count, seconds, row in zip(
+            node_ids, selection_counts, training_seconds, label_counts.tolist()
         )
-        for c, row in enumerate(label_counts.tolist())
     }
 
     return FederationState(
-        round=config.total_rounds,
-        selection_counts=selection_counts,
+        round=rounds,
+        selection_counts=dict(zip(node_ids, selection_counts)),
         class_distribution=class_distribution,
         emissions=log,
-        client_countries=countries,
-        statistics=statistics,
+        client_statistics=client_statistics,
     )

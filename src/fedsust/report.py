@@ -20,13 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .config import FederationConfig, config_digest, read_json
-from .fedsim import FederationState, hash_client_id, run_salt
+# hash_client_id is unused here; bench/tracer.py patches report.hash_client_id
+from .fedsim import FederationState, hash_client_id  # noqa: F401
 from .scoring import KIND_METRIC, ScoreError, ScoreNode, trust_score
 
 __all__ = [
     "EXTERNAL_PILLAR_IDS",
     "FactSheet",
-    "FactSheetError",
     "build_trust_report",
     "display_score",
     "external_pillars",
@@ -48,10 +48,6 @@ EXTERNAL_PILLAR_IDS = (
 )
 
 SELF_CONSISTENCY_TOL = 1e-9
-
-
-class FactSheetError(ValueError):
-    """A mandatory factsheet section is missing fields."""
 
 
 def display_score(value: float) -> str:
@@ -202,17 +198,11 @@ class FactSheet:
         }
 
 
-def populate_factsheet(
-    config: FederationConfig,
-    state: FederationState | None,
-    statistics: dict | None = None,
-    strict: bool = True,
-) -> FactSheet:
-    """Fill the three factsheet sections from their lifecycle stages.
+def populate_factsheet(config: FederationConfig, state: FederationState) -> FactSheet:
+    """Fill the three factsheet sections from the scenario and the finished run.
 
-    ``strict`` raises :class:`FactSheetError` listing every absent mandatory
-    field; pass ``strict=False`` to get the partial sheet (its completeness
-    section still names what is missing).
+    The run's per-client maps are taken as they are, keyed by node id; a
+    non-empty ``config.statistics`` is echoed as ``post_training.evaluation``.
     """
     sheet = FactSheet()
     sheet.pre_training = {
@@ -230,32 +220,15 @@ def populate_factsheet(
         "server_hardware": config.server_hardware,
         "seed": config.seed,
     }
-    if state is not None:
-        salt = run_salt(config.seed)
-        ids = {c: hash_client_id(salt, c) for c in sorted({*state.selection_counts, *state.statistics})}
-        sheet.during_training = {
-            "rounds_completed": state.round,
-            "selection_counts": {ids[c]: count for c, count in sorted(state.selection_counts.items())},
-            "class_distribution": dict(sorted(state.class_distribution.items())),
-            "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
-        }
-        sheet.post_training = {
-            "client_statistics": {
-                ids[c]: {
-                    "participation_rate": stats.participation_rate,
-                    "avg_training_time_s": stats.avg_training_time_s,
-                    "dataset_size": stats.dataset_size,
-                    "class_balance": stats.class_balance,
-                }
-                for c, stats in sorted(state.statistics.items())
-            },
-        }
-    if statistics:
-        sheet.post_training["evaluation"] = dict(statistics)
-    if strict:
-        _, absent = sheet.completeness()
-        if absent:
-            raise FactSheetError(f"factsheet incomplete; absent fields: {', '.join(absent)}")
+    sheet.during_training = {
+        "rounds_completed": state.round,
+        "selection_counts": state.selection_counts,
+        "class_distribution": state.class_distribution,
+        "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
+    }
+    sheet.post_training = {"client_statistics": state.client_statistics}
+    if config.statistics:
+        sheet.post_training["evaluation"] = dict(config.statistics)
     return sheet
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsust.cli import main
+from fedsust.report import load_pillar_fixture
 
 
 def run(capsys, *argv):
@@ -57,6 +58,35 @@ def small_scenarios(draw):
         "seed": draw(st.integers(0, 2**64 - 1)),
         "num_label_classes": draw(st.integers(1, 12)),
     }
+
+
+_DROP = object()
+# one field set to a value that may or may not be valid, or dropped
+_EDITS = [
+    ("num_clients", 0), ("num_clients", 10**6 + 1), ("num_clients", "ten"), ("num_clients", 2.5),
+    ("dataset_size", 0), ("dataset_size", 10**10), ("dataset_size", 10**10 + 1), ("dataset_size", 10**19),
+    ("selection_rate", 1.4), ("selection_rate", 0.0), ("selection_rate", float("nan")),
+    ("total_rounds", 0), ("local_rounds", None), ("model_size", True), ("seed", -1), ("seed", 2**64),
+    ("num_label_classes", 1000), ("num_label_classes", 1001), ("client_hardware", "Imaginary 9000"),
+    ("client_hardware", []), ("server_location", "QQ"), ("client_locations", "203.0.113.128"),
+    ("score_overrides", {"sustainability.carbon_intensity": 0.5}),
+    ("score_overrides", {"sustainability.typo": 0.5}), ("energy_model", {"cpu_utilization": 2.0}),
+    ("statistics", {"accuracy": 0.9}), ("bogus_field", 1), ("name", _DROP), ("num_clients", _DROP),
+]
+
+
+@st.composite
+def edited_scenarios(draw):
+    """Small scenarios, half of them with one field edited or dropped."""
+    scenario = draw(small_scenarios())
+    edit = draw(st.none() | st.sampled_from(_EDITS))
+    if edit is not None:
+        field, value = edit
+        if value is _DROP:
+            scenario.pop(field)
+        else:
+            scenario[field] = value
+    return scenario
 
 
 @pytest.fixture()
@@ -155,6 +185,16 @@ class TestValidate:
         assert s_code == v_code == 1
         assert s_err.startswith("error: validation:") and v_err.startswith("error: validation:")
         assert "ok" not in v_out
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(scenario=edited_scenarios())
+    def test_validate_and_score_give_the_same_exit_code(self, tmp_path_factory, scenario):
+        base = tmp_path_factory.mktemp("same-exit")
+        (base / "x.json").write_text(json.dumps(scenario))
+        validated = main(["validate", "--config", str(base / "x.json")])
+        scored = main(["score", "--config", str(base / "x.json"), "--out", str(base / "out")])
+        assert validated == scored
+        assert validated in (0, 1, 2)
 
     @pytest.mark.parametrize("field", ["selection_rate", "num_clients"])
     def test_integer_too_large_for_a_float_is_a_validation_error(self, capsys, tmp_path, uc, field):
@@ -270,6 +310,42 @@ class TestValidate:
             assert code == 0 and not err, command
         report = json.loads((tmp_path / "score" / "trust_report.json").read_text())
         assert report["metrics"]["sustainability.federation_complexity.num_clients"]["raw"] == 10**6
+
+    @pytest.mark.parametrize("size", [10**19, 10**10 + 1])
+    def test_dataset_size_above_the_ceiling_rejected(self, capsys, tmp_path, uc, size):
+        data = json.loads(open(uc("uc_a")).read())
+        data["dataset_size"] = size
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "dataset_size" in err and "10000000000" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_dataset_size_at_the_ceiling_accepted(self, capsys, tmp_path, uc):
+        data = json.loads(open(uc("uc_a")).read())
+        data["dataset_size"] = 10**10
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, _, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / command))
+            assert code == 0 and not err, command
+        sheet = json.loads((tmp_path / "simulate" / "factsheet.json").read_text())
+        clients = sheet["post_training"]["client_statistics"].values()
+        assert all(sum(c["class_balance"].values()) == 10**10 for c in clients)
+
+    @pytest.mark.parametrize("command", ["validate", "score", "simulate"])
+    def test_more_pillars_than_configs_rejected(self, capsys, tmp_path, uc, pillars, command):
+        missing = str(tmp_path / "nonexistent.json")
+        code, out, err = run(capsys, command, "--config", uc("proposal_a"),
+                             "--pillars", pillars("proposal_a"), "--pillars", missing,
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+        assert "--pillars" in err and "cannot read" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["config", "weights", "pillars"])
     def test_missing_input_file_is_a_validation_error(self, capsys, tmp_path, uc, kind):
@@ -488,6 +564,38 @@ class TestCompare:
                            "--pillars", pillars("proposal_a"), "--out", str(tmp_path))
         assert code == 1
         assert "error: validation:" in err
+
+    def test_one_pillar_file_serves_both_but_three_are_rejected(self, capsys, uc, pillars, tmp_path):
+        argv = ["compare", "--config", uc("proposal_a"), "--config", uc("proposal_b"),
+                "--pillars", pillars("proposal_a")]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "one"))
+        assert code == 0 and not err
+        code, _, err = run(capsys, *argv, "--pillars", pillars("proposal_b"),
+                           "--pillars", pillars("proposal_b"), "--out", str(tmp_path / "three"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:") and "--pillars" in err
+        assert not (tmp_path / "three").exists()
+
+    def test_trust_without_sustainability_ignores_pillar_weights(self, capsys, uc, pillars, tmp_path):
+        weights = {"sustainability": 0.4, "privacy": 0.2, "robustness": 0.1, "fairness": 0.1,
+                   "explainability": 0.1, "accountability": 0.05, "federation": 0.05}
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps(weights))
+        argv = ["compare", "--config", uc("proposal_a"), "--config", uc("proposal_b"),
+                "--pillars", pillars("proposal_a"), "--pillars", pillars("proposal_b")]
+        assert run(capsys, *argv, "--weights", str(w), "--out", str(tmp_path / "w"))[0] == 0
+        assert run(capsys, *argv, "--out", str(tmp_path / "equal"))[0] == 0
+        weighted = json.loads((tmp_path / "w" / "comparison.json").read_text())
+        equal = json.loads((tmp_path / "equal" / "comparison.json").read_text())
+        for side, name in (("a", "proposal_a"), ("b", "proposal_b")):
+            externals = load_pillar_fixture(pillars(name))
+            mean = sum(externals.values()) / len(externals)
+            without = weighted[side]["trust_without_sustainability"]
+            assert without == equal[side]["trust_without_sustainability"]
+            assert without["score_raw"] == pytest.approx(mean, abs=1e-12)
+            # the weight file does reach the trust score that includes sustainability
+            assert weighted[side]["trust_with_sustainability"]["pillar_weights"] == weights
+            assert weighted[side]["trust_with_sustainability"] != equal[side]["trust_with_sustainability"]
 
     def test_compare_requires_pillars(self, capsys, uc, tmp_path):
         code, _, err = run(capsys, "compare", "--config", uc("proposal_a"),

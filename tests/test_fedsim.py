@@ -11,10 +11,12 @@ plain Python integers and floats.
 import hashlib
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fedsust import fedsim
 from fedsust.config import parse_config
 from fedsust.fedsim import (
     SelectionStream,
@@ -25,6 +27,7 @@ from fedsust.fedsim import (
     _largest_remainder,
     client_class_counts,
     fleet_class_counts,
+    hash_client_id,
     hash_label,
     run_federation,
     run_salt,
@@ -309,8 +312,8 @@ class TestLabelStream:
         assert state.class_distribution == {
             hash_label(salt, f"class_{j}"): int(t) for j, t in enumerate(batch.sum(axis=0)) if t
         }
-        for c, stats in state.statistics.items():
-            assert stats.class_balance == {
+        for c in range(30):
+            assert state.client_statistics[hash_client_id(salt, c)]["class_balance"] == {
                 hash_label(salt, f"class_{j}"): int(v) for j, v in enumerate(batch[c]) if v
             }
 
@@ -327,7 +330,18 @@ class TestRunFederation:
     def test_full_rate_means_full_participation(self, tables):
         config = make_config(num_clients=4, selection_rate=1.0, sample_size=4, total_rounds=6)
         state = run_federation(config, tables)
-        assert all(s.participation_rate == 1.0 for s in state.statistics.values())
+        assert len(state.client_statistics) == 4
+        assert all(s["participation_rate"] == 1.0 for s in state.client_statistics.values())
+
+    def test_each_client_hashed_once_and_keyed_by_its_node_id(self, tables, monkeypatch):
+        hashed = []
+        original = fedsim.hash_client_id
+        monkeypatch.setattr(fedsim, "hash_client_id", lambda salt, c: hashed.append(c) or original(salt, c))
+        state = run_federation(make_config(num_clients=12, sample_size=12, total_rounds=3), tables)
+        assert sorted(hashed) == list(range(12))
+        node_ids = {r.node_id for r in state.emissions.records if r.role == "client"}
+        assert len(node_ids) == 12
+        assert set(state.selection_counts) == set(state.client_statistics) == node_ids
 
     def test_huge_model_size_prices_finite_rows(self, tables):
         config = make_config(num_clients=6, sample_size=3, total_rounds=50, model_size=10**9,
@@ -366,16 +380,25 @@ class TestRunFederation:
         a = run_federation(make_config(seed=1), tables)
         b = run_federation(make_config(seed=2), tables)
         assert len(a.emissions) == len(b.emissions)
-        assert a.selection_counts != b.selection_counts
+        # node ids differ by salt alone, so compare the counts per client index
+        by_index = [
+            [state.selection_counts[hash_client_id(run_salt(seed), c)] for c in range(5)]
+            for state, seed in ((a, 1), (b, 2))
+        ]
+        assert by_index[0] != by_index[1]
 
     def test_share_assignment_respects_population(self, tables):
         config = make_config(
-            num_clients=10,
+            num_clients=10, sample_size=10, total_rounds=2,
             client_locations=[{"share": 0.5, "location": "XK"}, {"share": 0.5, "location": "GM"}],
         )
         state = run_federation(config, tables)
-        assert state.client_countries.count("XK") == 5
-        assert state.client_countries.count("GM") == 5
+        # every client is drawn; each carries the intensity of its assigned grid
+        intensity = {r.node_id: r.intensity for r in state.emissions.records if r.phase == "training"}
+        assert len(intensity) == 10
+        assert Counter(intensity.values()) == {
+            tables.grid.lookup_intensity("XK"): 5, tables.grid.lookup_intensity("GM"): 5,
+        }
 
     def test_participation_approaches_rate_statistically(self, tables):
         # Binomial check at T = 1e4: each of 10 clients selected with
@@ -387,8 +410,9 @@ class TestRunFederation:
         state = run_federation(config, tables)
         p = 0.3
         sigma = math.sqrt(p * (1 - p) / config.total_rounds)
-        for stats in state.statistics.values():
-            assert abs(stats.participation_rate - p) <= 3 * sigma
+        assert len(state.client_statistics) == 10
+        for stats in state.client_statistics.values():
+            assert abs(stats["participation_rate"] - p) <= 3 * sigma
 
     def test_emissions_monotone_in_each_complexity_driver(self, tables):
         base = dict(num_clients=6, sample_size=3, total_rounds=4, local_rounds=2,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fedsust.config import parse_config
 from fedsust.fedsim import run_federation
 from fedsust.report import (
-    FactSheetError,
     build_trust_report,
     display_score,
     emissions_summary,
@@ -157,15 +156,6 @@ class TestFactSheet:
         assert payload["pre_training"]["total_rounds"] == 10
         assert payload["pre_training"]["selection_rate"] == 0.2
 
-    def test_missing_run_fails_strict_mode_listing_fields(self, tables):
-        config = make_config()
-        with pytest.raises(FactSheetError, match="post_training.client_statistics"):
-            populate_factsheet(config, None)
-        sheet = populate_factsheet(config, None, strict=False)
-        fraction, absent = sheet.completeness()
-        assert fraction < 1.0
-        assert "during_training.selection_counts" in absent
-
     def test_completeness_monotone_in_populated_fields(self, tables):
         config = make_config()
         state = run_federation(config, tables)
@@ -179,7 +169,7 @@ class TestFactSheet:
     def test_passthrough_statistics_are_echoed(self, tables):
         config = make_config(statistics={"client_test_accuracy": 0.91, "clever_score": 0.4})
         state = run_federation(config, tables)
-        sheet = populate_factsheet(config, state, config.statistics)
+        sheet = populate_factsheet(config, state)
         assert sheet.post_training["evaluation"]["clever_score"] == 0.4
 
 
@@ -329,7 +319,7 @@ class TestCanonicalWriter:
         config = make_config(num_clients=7, client_locations=["CH", "CH", "ZA", "ZA", "ZA", "AL", "AL"],
                              statistics={"note": "é \"quoted\"\n", "nested": {"xs": [1, 2.5, None]}})
         state = run_federation(config, tables)
-        sheet = populate_factsheet(config, state, config.statistics).as_dict()
+        sheet = populate_factsheet(config, state).as_dict()
         report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS,
                                     emissions_summary=emissions_summary(state))
         for value in (sheet, report):

@@ -5,16 +5,22 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsust.report import display_score
 from fedsust.scoring import (
     CARBON_INTENSITY_RULE,
     COUNT_ANCHORS,
+    COUNT_RULE,
+    IDENTITY_RULE,
     KIND_METRIC,
     KIND_NOTION,
     KIND_PILLAR,
     POWER_PERFORMANCE_RULE,
+    SELECTION_RULE,
     SIZE_ANCHORS,
+    SIZE_RULE,
     MissingMetricError,
     NormalizationRule,
     ScoreError,
@@ -191,6 +197,41 @@ class TestNormalizationRule:
             NormalizationRule("log-bucket", anchors=((10.0, 1.5), (100.0, 0.5)))
         with pytest.raises(ScoreError):
             NormalizationRule("no-such-variant")
+
+
+# The program's rules: each with its documented direction (+1 non-decreasing,
+# -1 non-increasing) and raw values that reach past both ends of its domain.
+_PROGRAM_RULES = {
+    "carbon_intensity": (CARBON_INTENSITY_RULE, -1, st.floats(-1e4, 1e4)),
+    "power_performance": (POWER_PERFORMANCE_RULE, +1, st.floats(-1e4, 1e4)),
+    "count": (COUNT_RULE, -1, st.floats(1e-3, 1e12, exclude_min=True)),
+    "size": (SIZE_RULE, -1, st.floats(1e-3, 1e15, exclude_min=True)),
+    "selection_rate": (SELECTION_RULE, -1, st.floats(0.0, 1.0)),
+    "identity": (IDENTITY_RULE, +1, st.floats(-10.0, 10.0)),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(name=st.sampled_from(sorted(_PROGRAM_RULES)), data=st.data())
+def test_every_rule_stays_in_unit_interval_and_is_monotone(name, data):
+    rule, direction, raw_values = _PROGRAM_RULES[name]
+    low, high = sorted((data.draw(raw_values), data.draw(raw_values)))
+    at_low, at_high = rule.apply(low), rule.apply(high)
+    assert 0.0 <= at_low <= 1.0 and 0.0 <= at_high <= 1.0
+    assert direction * (at_high - at_low) >= 0.0, (low, high, at_low, at_high)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True),
+       values=st.lists(st.floats(-2e6, 2e6), min_size=2, max_size=2))
+def test_linear_rules_on_any_bounds_stay_in_unit_interval_and_are_monotone(bounds, values):
+    lo, hi = sorted(bounds)
+    low, high = sorted(values)
+    for variant, direction in (("linear-direct", +1), ("linear-inverse", -1)):
+        rule = NormalizationRule(variant, lo=lo, hi=hi)
+        at_low, at_high = rule.apply(low), rule.apply(high)
+        assert 0.0 <= at_low <= 1.0 and 0.0 <= at_high <= 1.0
+        assert direction * (at_high - at_low) >= 0.0, (variant, lo, hi, low, high)
 
 
 # ── aggregation ───────────────────────────────────────────────────────────
