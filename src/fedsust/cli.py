@@ -10,15 +10,15 @@ error prints a single machine-parsable line to stderr of the form
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
-from .fedsim import run_federation
+from .fedsim import price_fleet, run_federation
 from .refdata import ReferenceDataError, ReferenceTables
 from .report import (
+    EXTERNAL_PILLAR_IDS,
     build_trust_report,
     display_score,
     emissions_summary,
@@ -28,7 +28,6 @@ from .report import (
     write_atomic,
 )
 from .scoring import (
-    WEIGHT_SUM_TOL,
     ScoreError,
     ScoreNode,
     aggregate,
@@ -48,9 +47,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REFDATA = 2
 
-_PILLAR_LEVEL_IDS = frozenset(
-    ("sustainability", "privacy", "robustness", "fairness", "explainability", "accountability", "federation")
-)
+_PILLAR_LEVEL_IDS = frozenset((PILLAR_ID, *EXTERNAL_PILLAR_IDS))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,14 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
-    """Parse, score and weight one scenario: the pipeline of every command.
+    """The one pipeline of every command: returns ``(config, trust report)``.
 
-    Applies ``--seed``, splits the weight file into tree and pillar weights,
-    scores the sustainability pillar, loads the ``which``-th ``--pillars``
-    file (the last one when fewer are given) and takes the trust-weight
-    subset. Returns ``(config, scored pillar, externals, trust weights)``;
-    the last two are ``None`` without ``--pillars``. More ``--pillars`` than
-    ``--config`` files is an error: the extra ones would never be read.
+    Parses the scenario and applies ``--seed``, scores the pillar under the
+    weight file's tree weights, prices the fleet (an overflowing phase is a
+    validation error), loads the ``which``-th ``--pillars`` file (the last
+    one when fewer are given; more than ``--config`` files is an error) and
+    builds the trust report without its emissions block.
     """
     configs = args.config if isinstance(args.config, list) else [args.config]
     if args.pillars and len(args.pillars) > len(configs):
@@ -136,13 +132,11 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}
     scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-    externals = None
-    if args.pillars:
-        externals = load_pillar_fixture(args.pillars[min(which, len(args.pillars) - 1)])
-    trust_w = None
-    if externals:
-        trust_w = _trust_weights(pillar_weights, sorted([*externals, PILLAR_ID]), args.allow_partial)
-    return config, scored, externals, trust_w
+    price_fleet(config, tables)
+    externals = load_pillar_fixture(args.pillars[min(which, len(args.pillars) - 1)]) if args.pillars else None
+    report = build_trust_report(config, scored, externals, pillar_weights=pillar_weights,
+                                allow_partial=args.allow_partial)
+    return config, report
 
 
 def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
@@ -166,49 +160,19 @@ def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
     return aggregate(node, overrides=config.score_overrides, allow_partial=allow_partial)
 
 
-def _trust_weights(
-    pillar_weights: dict[str, float], pillar_ids, allow_partial: bool = False
-) -> dict[str, float] | None:
-    """Subset of the weight file's pillar weights for the pillars present.
-
-    The subset must sum to 1 under scoring's rule (``math.fsum`` within
-    ``WEIGHT_SUM_TOL``); with ``allow_partial`` it is renormalized instead
-    (covering weight files written for more pillars than supplied).
-    """
-    if not pillar_weights:
-        return None
-    missing = sorted(set(pillar_ids) - set(pillar_weights))
-    if missing:
-        raise ScoreError(f"weight file lacks pillar weights for: {', '.join(missing)}")
-    subset = {p: pillar_weights[p] for p in pillar_ids}
-    total = math.fsum(subset.values())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        if not allow_partial:
-            raise ScoreError(
-                f"pillar weights for {', '.join(pillar_ids)} sum to {total!r}; "
-                "pass --allow-partial to renormalize"
-            )
-        if total <= 0.0:
-            raise ScoreError("pillar weights sum to zero; cannot renormalize")
-        subset = {p: w / total for p, w in subset.items()}
-    return subset
-
-
 def _print_scores(report: dict) -> None:
     print(f"sustainability: {report['pillars'][PILLAR_ID]['score']}")
     print(f"trust: {report['trust']['score'] if report['trust'] else 'n/a (no external pillars)'}")
 
 
 def cmd_validate(args) -> int:
-    config, _, _, _ = _evaluate(args, ReferenceTables.load(), args.config)
+    config, _ = _evaluate(args, ReferenceTables.load(), args.config)
     print(f"ok: scenario '{config.name}' is valid")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    config, scored, externals, trust_w = _evaluate(args, ReferenceTables.load(), args.config)
-    report = build_trust_report(config, scored, externals, emissions_summary=None,
-                                pillar_weights=trust_w)
+    _, report = _evaluate(args, ReferenceTables.load(), args.config)
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
     _print_scores(report)
@@ -220,14 +184,10 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"field 'workers' must be >= 1, got {args.workers}")
     tables = ReferenceTables.load()
-    config, scored, externals, trust_w = _evaluate(args, tables, args.config)
+    config, report = _evaluate(args, tables, args.config)
     state = run_federation(config, tables)
     factsheet = populate_factsheet(config, state)
-    report = build_trust_report(
-        config, scored, externals,
-        emissions_summary=emissions_summary(state),
-        pillar_weights=trust_w,
-    )
+    report["emissions"] = emissions_summary(state)
 
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
@@ -246,14 +206,11 @@ def cmd_compare(args) -> int:
     tables = ReferenceTables.load()
     sides = []
     for i, config_path in enumerate(args.config):
-        config, scored, externals, trust_w = _evaluate(args, tables, config_path, which=i)
-        if not externals:
+        config, report = _evaluate(args, tables, config_path, which=i)
+        if report["trust"] is None:
             raise ConfigError("compare needs external pillar scores; pass --pillars")
-        report = build_trust_report(config, scored, externals, pillar_weights=trust_w)
-        ext_ids = sorted(externals)
-        trust_without = trust_score(
-            [externals[p] for p in ext_ids], [1.0 / len(ext_ids)] * len(ext_ids)
-        )
+        external = [e["score_raw"] for _, e in sorted(report["pillars"].items()) if e["source"] == "external"]
+        trust_without = trust_score(external, [1.0 / len(external)] * len(external))
         sides.append({
             "name": config.name,
             "pillars": report["pillars"],

@@ -52,9 +52,10 @@ MAX_SEED = 2**64 - 1
 # ImageNet-1k's class count; simulate holds a num_clients x num_label_classes
 # float64 array, so the ceiling bounds its width
 MAX_LABEL_CLASSES = 1000
-# the count anchors of the complexity score stop at 10^6 clients, and simulate
-# keeps per-client lists and a num_clients x num_label_classes label array
+# the count anchors of the complexity score stop at 10^6 clients and rounds; simulate keeps
+# per-client lists and a num_clients x num_label_classes label array, and works per round
 MAX_CLIENTS = 10**6
+MAX_ROUNDS = 10**6
 # the size anchors of the complexity score stop at 10^10 samples; above ~10^16 the
 # float64 label split of simulate no longer sums to dataset_size, and at 2^63 it overflows
 MAX_DATASET_SIZE = 10**10
@@ -217,7 +218,7 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
 
     num_clients = _int_field(data, "num_clients", minimum=1, maximum=MAX_CLIENTS)
-    total_rounds = _int_field(data, "total_rounds", minimum=1)
+    total_rounds = _int_field(data, "total_rounds", minimum=1, maximum=MAX_ROUNDS)
     local_rounds = _int_field(data, "local_rounds", minimum=1)
     dataset_size = _int_field(data, "dataset_size", minimum=1, maximum=MAX_DATASET_SIZE)
     model_size = _int_field(data, "model_size", minimum=1)

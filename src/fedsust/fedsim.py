@@ -49,13 +49,17 @@ Every client is hashed once per run, by :func:`hash_client_id` under
 its per-client data in :class:`FederationState`, whose entries are already in
 the factsheet's form.
 
+Set-up resolves each hardware and location mix entry once, in
+:func:`price_fleet`, which every command line command also runs: a phase
+whose duration, energy or CO2eq overflows is a validation error, not a
+failed run.
+
 numpy is imported only by the label stream and :func:`aggregate_model`, on
 first call, so the commands that never simulate do not load it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import math
@@ -63,9 +67,9 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import FederationConfig
+from .config import ConfigError, FederationConfig
 from .emissions import EmissionsLog, energy_to_co2, estimate_energy, track_phase
-from .refdata import ReferenceTables
+from .refdata import HardwareProfile, ReferenceTables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,6 +86,7 @@ __all__ = [
     "fleet_class_counts",
     "hash_client_id",
     "hash_label",
+    "price_fleet",
     "run_federation",
     "run_salt",
     "sample_clients",
@@ -260,7 +265,7 @@ class FederationState:
     client_statistics: dict[str, dict]
 
 
-def _assign_by_share(mix: tuple[tuple[float, str], ...], population: int) -> list[str]:
+def _assign_by_share(mix: tuple[tuple[float, object], ...], population: int) -> list:
     """Deterministic largest-remainder assignment of share mixes to clients."""
     raw = [share * population for share, _ in mix]
     counts = [math.floor(r) for r in raw]
@@ -268,20 +273,81 @@ def _assign_by_share(mix: tuple[tuple[float, str], ...], population: int) -> lis
     order = sorted(range(len(mix)), key=lambda i: (-(raw[i] - counts[i]), i))
     for i in order[:shortfall]:
         counts[i] += 1
-    assigned: list[str] = []
+    assigned = []
     for (_, value), count in zip(mix, counts):
         assigned.extend([value] * count)
     return assigned
 
 
-def _train_duration(config: FederationConfig) -> float:
-    em = config.energy_model
-    return em.train_seconds_per_unit * config.local_rounds * config.dataset_size * (config.model_size / 1e6)
+# The fields each phase's duration, energy and CO2eq grow with, for the error message.
+_PHASE_FIELDS = {
+    "training": "energy_model.train_seconds_per_unit, local_rounds, dataset_size, model_size, "
+                "client_hardware, client_locations",
+    "communication": "energy_model.comm_energy_per_byte, model_size, client_locations",
+    "aggregation": "energy_model.agg_seconds_per_unit, sample_size, model_size, server_hardware, "
+                   "server_location",
+}
 
 
-def _agg_duration(config: FederationConfig) -> float:
+def _finite(value: float, phase: str, quantity: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"the {phase} phase's {quantity} is {value!r}, not a finite float; "
+                          f"it grows with fields {_PHASE_FIELDS[phase]}")
+    return value
+
+
+@dataclass(frozen=True)
+class FleetPrices:
+    """What :func:`price_fleet` resolved and priced: the client mixes with each entry's
+    TDP and grid intensity, a client's rows in CSV order for each (TDP, intensity) pair,
+    the phase durations, and the server's hardware and grid intensity."""
+
+    client_tdp: tuple[tuple[float, float], ...]
+    client_intensity: tuple[tuple[float, float], ...]
+    client_rows: dict[tuple[float, float], tuple[tuple, ...]]
+    train_s: float
+    agg_s: float
+    server_hardware: HardwareProfile
+    server_intensity: float
+
+
+def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrices:
+    """Resolve each mix entry once and price every phase a run of ``config`` can log.
+
+    Prices are keyed by value: each distinct (TDP, grid intensity) pair of the
+    two client mixes is priced once, and so is the server's aggregation. A
+    duration, energy or CO2eq that is not a finite float raises ``ConfigError``.
+    """
     em = config.energy_model
-    return em.agg_seconds_per_unit * config.sample_size * (config.model_size / 1e6)
+    utilization = em.effective_utilization()
+    locations, grid = tables.locations, tables.grid
+    client_tdp = tuple((share, tables.hardware.lookup(hw).tdp) for share, hw in config.client_hardware)
+    client_intensity = tuple(
+        (share, grid.lookup_intensity(locations.resolve(loc, grid))) for share, loc in config.client_locations
+    )
+    train_s = _finite(em.train_seconds_per_unit * config.local_rounds * config.dataset_size
+                      * (config.model_size / 1e6), "training", "duration_s")
+    comm_energy = em.comm_energy_per_byte * (8.0 * config.model_size)  # up and down, 4 bytes/parameter
+    if comm_energy > 0.0:  # unpriced when nan, as 0 * inf
+        _finite(comm_energy, "communication", "energy_kwh")
+    client_rows = {}
+    for tdp in dict.fromkeys(value for _, value in client_tdp):
+        energy = _finite(estimate_energy(tdp, utilization, train_s), "training", "energy_kwh")
+        for intensity in dict.fromkeys(value for _, value in client_intensity):
+            co2 = _finite(energy_to_co2(energy, intensity), "training", "co2eq_g")
+            rows = (("training", train_s, energy, intensity, co2),)
+            if comm_energy > 0.0:
+                co2 = _finite(energy_to_co2(comm_energy, intensity), "communication", "co2eq_g")
+                rows = (("communication", 0.0, comm_energy, intensity, co2), *rows)
+            client_rows[tdp, intensity] = rows
+
+    server_hw = tables.hardware.lookup(config.server_hardware)
+    server_intensity = grid.lookup_intensity(locations.resolve(config.server_location, grid))
+    agg_s = _finite(em.agg_seconds_per_unit * config.sample_size * (config.model_size / 1e6),
+                    "aggregation", "duration_s")
+    agg_energy = _finite(estimate_energy(server_hw.tdp, utilization, agg_s), "aggregation", "energy_kwh")
+    _finite(energy_to_co2(agg_energy, server_intensity), "aggregation", "co2eq_g")
+    return FleetPrices(client_tdp, client_intensity, client_rows, train_s, agg_s, server_hw, server_intensity)
 
 
 def run_federation(config: FederationConfig, tables: ReferenceTables | None = None) -> FederationState:
@@ -289,14 +355,16 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     Per round, serially: draw ``sample_size`` clients without replacement,
     log a training row per drawn client (plus a communication row when
-    communication energy is priced) and one server aggregation row. Rows
-    are priced once per (TDP, grid intensity) pair and every client is hashed
-    once, up front; each round sorts only its own rows. Label splits are
+    communication energy is priced) and one server aggregation row. Set-up
+    prices the fleet with :func:`price_fleet`, resolving each mix entry once
+    (so an unresolvable entry fails even when no client gets it), and hashes
+    every client once; each round sorts only its own rows. Label splits are
     drawn for the whole fleet in one batch, and each class label is hashed
     once per run. Every random draw is addressed by the seed and a round or
     client index, so results depend on nothing but ``(config, seed)``.
     """
     tables = tables or ReferenceTables.load()
+    prices = price_fleet(config, tables)
 
     n = config.num_clients
     m = config.sample_size
@@ -304,13 +372,8 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     seed = config.seed
     salt = run_salt(seed)
 
-    countries = _assign_by_share(config.client_locations, n)
-    countries = [tables.locations.resolve(c, tables.grid) for c in countries]
-    client_tdp = [tables.hardware.lookup(hw).tdp for hw in _assign_by_share(config.client_hardware, n)]
-    client_intensity = [tables.grid.lookup_intensity(c) for c in countries]
-    server_hw = tables.hardware.lookup(config.server_hardware)
-    server_country = tables.locations.resolve(config.server_location, tables.grid)
-    server_intensity = tables.grid.lookup_intensity(server_country)
+    pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
+    client_rows = [prices.client_rows[pair] for pair in pairs]
 
     log = EmissionsLog()
     node_ids = [hash_client_id(salt, c) for c in range(n)]
@@ -322,40 +385,21 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     class_distribution = accumulate_class_distribution({}, totals, salt, {})
     hashed_labels = [hash_label(salt, label) for label in labels]
 
-    train_time = _train_duration(config)
-    agg_time = _agg_duration(config)
-    comm_bytes = 8.0 * config.model_size  # one upload + one download at 4 bytes/parameter
-    em = config.energy_model
-    comm_energy = em.comm_energy_per_byte * comm_bytes
-
-    @functools.cache
-    def price(tdp: float, intensity: float) -> tuple[tuple, ...]:
-        """A client's (phase, duration, energy, intensity, CO2eq) rows, in CSV order."""
-        energy = estimate_energy(tdp, em.effective_utilization(), train_time)
-        rows = (("training", train_time, energy, intensity, energy_to_co2(energy, intensity)),)
-        if comm_energy > 0.0:
-            comm = ("communication", 0.0, comm_energy, intensity, energy_to_co2(comm_energy, intensity))
-            rows = (comm, *rows)
-        return rows
-
     for t in range(1, rounds + 1):
         selected = sample_clients(n, m, SelectionStream(seed, t))
         for client in selected:
             selection_counts[client] += 1
-            training_seconds[client] += train_time
+            training_seconds[client] += prices.train_s
         ordered = sorted(selected, key=node_ids.__getitem__)
-        log._extend([
-            (t, "client", node_ids[c], *row)
-            for c in ordered
-            for row in price(client_tdp[c], client_intensity[c])
-        ])
+        log._extend([(t, "client", node_ids[c], *row) for c in ordered for row in client_rows[c]])
         track_phase(log, node_id="server", role="server", phase="aggregation", round_index=t,
-                    model=em, hardware=server_hw, duration_s=agg_time, intensity=server_intensity)
+                    model=config.energy_model, hardware=prices.server_hardware, duration_s=prices.agg_s,
+                    intensity=prices.server_intensity)
 
     client_statistics = {
         node_id: {
             "participation_rate": count / rounds,
-            # the repeated sum, not train_time: (0.1 + 0.1 + 0.1) / 3 != 0.1
+            # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
             "avg_training_time_s": seconds / count if count else 0.0,
             "dataset_size": config.dataset_size,
             "class_balance": {h: v for h, v in zip(hashed_labels, row) if v},

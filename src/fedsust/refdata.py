@@ -119,9 +119,6 @@ class GridIntensityTable:
     def __contains__(self, country: str) -> bool:
         return country.strip().upper() in self._entries
 
-    def codes(self) -> list[str]:
-        return sorted(self._entries)
-
     def items(self):
         return self._entries.items()
 
@@ -140,9 +137,6 @@ class HardwareTable:
             return self._profiles[key]
         except KeyError:
             raise UnknownHardwareError(f"unknown hardware model {model!r}") from None
-
-    def models(self) -> list[str]:
-        return sorted(p.model for p in self._profiles.values())
 
     def profiles(self) -> list[HardwareProfile]:
         return [self._profiles[k] for k in sorted(self._profiles)]

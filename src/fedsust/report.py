@@ -22,7 +22,7 @@ from . import __version__
 from .config import FederationConfig, config_digest, read_json
 # hash_client_id is unused here; bench/tracer.py patches report.hash_client_id
 from .fedsim import FederationState, hash_client_id  # noqa: F401
-from .scoring import KIND_METRIC, ScoreError, ScoreNode, trust_score
+from .scoring import KIND_METRIC, WEIGHT_SUM_TOL, ScoreError, ScoreNode, trust_score
 
 __all__ = [
     "EXTERNAL_PILLAR_IDS",
@@ -236,16 +236,19 @@ def build_trust_report(
     config: FederationConfig,
     pillar_node: ScoreNode,
     externals: dict[str, float] | None = None,
-    emissions_summary: dict | None = None,
     pillar_weights: dict[str, float] | None = None,
+    allow_partial: bool = False,
 ) -> dict:
     """Assemble the report mapping from a scored pillar tree.
 
     ``externals`` are validated external pillar scores; when present, the
     root trust score is the weighted mean over them plus the computed
-    sustainability pillar (equal weights unless ``pillar_weights`` is given).
-    Without them ``trust`` is ``null``: a single computed pillar is not
-    presented as a federation-wide trust score.
+    sustainability pillar, with equal weights unless a weight file's
+    ``pillar_weights`` are given. Those must cover the pillars present and
+    sum to 1 over them (``math.fsum`` within ``WEIGHT_SUM_TOL``), or are
+    renormalized with ``allow_partial``. Without externals ``trust`` is
+    ``null``: a single computed pillar is not presented as a federation-wide
+    trust score.
     """
     metrics: dict[str, dict] = {}
     notions: dict[str, dict] = {}
@@ -285,13 +288,20 @@ def build_trust_report(
                 "overridden": False,
             }
         ordered = sorted(pillars)
+        weights = [1.0 / len(ordered)] * len(ordered)
         if pillar_weights:
-            missing = sorted(set(ordered) - set(pillar_weights))
+            missing = [p for p in ordered if p not in pillar_weights]
             if missing:
-                raise ScoreError(f"pillar weights missing for: {', '.join(missing)}")
+                raise ScoreError(f"weight file lacks pillar weights for: {', '.join(missing)}")
             weights = [float(pillar_weights[p]) for p in ordered]
-        else:
-            weights = [1.0 / len(ordered)] * len(ordered)
+            total = math.fsum(weights)
+            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+                if not allow_partial:
+                    raise ScoreError(f"pillar weights for {', '.join(ordered)} sum to {total!r}; "
+                                     "pass --allow-partial to renormalize")
+                if total <= 0.0:
+                    raise ScoreError("pillar weights sum to zero; cannot renormalize")
+                weights = [w / total for w in weights]
         root = trust_score([pillars[p]["score_raw"] for p in ordered], weights)
         trust = {
             "score": display_score(root),
@@ -306,7 +316,7 @@ def build_trust_report(
         "notions": notions,
         "pillars": pillars,
         "trust": trust,
-        "emissions": emissions_summary,
+        "emissions": None,  # simulate fills it in after the run
         "renormalized": sorted(renormalized),
         "partial": bool(renormalized),
     }

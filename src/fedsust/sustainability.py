@@ -84,23 +84,15 @@ class ComplexityAssessment:
 
 
 def assess_carbon(
-    config: FederationConfig,
-    grid: GridIntensityTable,
-    locations: LocationResolver | None = None,
+    config: FederationConfig, grid: GridIntensityTable, locations: LocationResolver
 ) -> CarbonIntensityAssessment:
     """Share-weighted client grid intensity plus the server's grid intensity."""
     client_avg = math.fsum(
-        share * grid.lookup_intensity(_resolve(loc, grid, locations))
+        share * grid.lookup_intensity(locations.resolve(loc, grid))
         for share, loc in config.client_locations
     )
-    server = grid.lookup_intensity(_resolve(config.server_location, grid, locations))
+    server = grid.lookup_intensity(locations.resolve(config.server_location, grid))
     return CarbonIntensityAssessment(client_avg=client_avg, server=server)
-
-
-def _resolve(location: str, grid: GridIntensityTable, locations: LocationResolver | None) -> str:
-    if locations is None:
-        return location
-    return locations.resolve(location, grid)
 
 
 def assess_hardware(config: FederationConfig, hardware: HardwareTable) -> HardwareAssessment:

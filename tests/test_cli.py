@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsust.cli import main
@@ -72,21 +72,44 @@ _EDITS = [
     ("score_overrides", {"sustainability.carbon_intensity": 0.5}),
     ("score_overrides", {"sustainability.typo": 0.5}), ("energy_model", {"cpu_utilization": 2.0}),
     ("statistics", {"accuracy": 0.9}), ("bogus_field", 1), ("name", _DROP), ("num_clients", _DROP),
+    ("total_rounds", 10**6 + 1),
+    # durations, energies and CO2eq that overflow to inf for large enough drawn sizes
+    ("energy_model", {"train_seconds_per_unit": 1e308}), ("energy_model", {"agg_seconds_per_unit": 1e308}),
+    ("energy_model", {"comm_energy_per_byte": 1e300}),
 ]
+
+
+def _edited(scenario: dict, edit) -> dict:
+    field, value = edit
+    scenario = dict(scenario)
+    if value is _DROP:
+        scenario.pop(field)
+    else:
+        scenario[field] = value
+    return scenario
 
 
 @st.composite
 def edited_scenarios(draw):
     """Small scenarios, half of them with one field edited or dropped."""
     scenario = draw(small_scenarios())
-    edit = draw(st.none() | st.sampled_from(_EDITS))
-    if edit is not None:
-        field, value = edit
-        if value is _DROP:
-            scenario.pop(field)
-        else:
-            scenario[field] = value
-    return scenario
+    # a coin flip: derandomized, st.none() | st.sampled_from(...) drew an edit in only ~1 of 3
+    return _edited(scenario, draw(st.sampled_from(_EDITS))) if draw(st.booleans()) else scenario
+
+
+# large enough that every energy_model edit above overflows
+_LARGE_SCENARIO = {
+    "name": "large", "num_clients": 20, "total_rounds": 3, "sample_size": 5, "local_rounds": 2,
+    "dataset_size": 400, "model_size": 10**9, "client_hardware": "AMD FX-9590",
+    "client_locations": "ZA", "server_hardware": "AMD FX-9590", "server_location": "US", "seed": 1,
+}
+
+
+def _every_edit_once(test):
+    """Run ``test`` on each edit of ``_LARGE_SCENARIO`` before the drawn examples."""
+    for edit in _EDITS:
+        test = example(scenario=_edited(_LARGE_SCENARIO, edit))(test)
+    return test
 
 
 @pytest.fixture()
@@ -186,14 +209,17 @@ class TestValidate:
         assert s_err.startswith("error: validation:") and v_err.startswith("error: validation:")
         assert "ok" not in v_out
 
+    @_every_edit_once
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(scenario=edited_scenarios())
     def test_validate_and_score_give_the_same_exit_code(self, tmp_path_factory, scenario):
+        # simulate too: validate accepts exactly what score and simulate accept
         base = tmp_path_factory.mktemp("same-exit")
         (base / "x.json").write_text(json.dumps(scenario))
         validated = main(["validate", "--config", str(base / "x.json")])
-        scored = main(["score", "--config", str(base / "x.json"), "--out", str(base / "out")])
-        assert validated == scored
+        scored = main(["score", "--config", str(base / "x.json"), "--out", str(base / "score")])
+        simulated = main(["simulate", "--config", str(base / "x.json"), "--out", str(base / "sim")])
+        assert validated == scored == simulated
         assert validated in (0, 1, 2)
 
     @pytest.mark.parametrize("field", ["selection_rate", "num_clients"])
@@ -336,6 +362,46 @@ class TestValidate:
         clients = sheet["post_training"]["client_statistics"].values()
         assert all(sum(c["class_balance"].values()) == 10**10 for c in clients)
 
+    @pytest.mark.parametrize("rounds", [10**12, 10**6 + 1])
+    def test_total_rounds_above_the_ceiling_rejected(self, capsys, tmp_path, uc, rounds):
+        data = json.loads(open(uc("uc_a")).read())
+        data["total_rounds"] = rounds
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "total_rounds" in err and "1000000" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_total_rounds_at_the_ceiling_accepted(self, capsys, tmp_path, uc):
+        data = json.loads(open(uc("uc_a")).read())
+        data["total_rounds"] = 10**6
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--config", str(p))
+        assert code == 0 and not err and "ok" in out
+
+    @pytest.mark.parametrize("energy_model, fields", [
+        ({"train_seconds_per_unit": 1e300}, "train_seconds_per_unit"),
+        ({"agg_seconds_per_unit": 1e308}, "agg_seconds_per_unit"),
+        ({"comm_energy_per_byte": 1e300}, "comm_energy_per_byte"),
+    ], ids=["training", "aggregation", "communication"])
+    def test_overflowing_phase_is_a_validation_error(self, capsys, tmp_path, uc, energy_model, fields):
+        data = json.loads(open(uc("uc_a")).read())
+        data["model_size"] = 10**12
+        data["energy_model"] = energy_model
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert fields in err and "model_size" in err, err
+            assert "ok" not in out
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "score", "simulate"])
     def test_more_pillars_than_configs_rejected(self, capsys, tmp_path, uc, pillars, command):
         missing = str(tmp_path / "nonexistent.json")
@@ -414,6 +480,51 @@ class TestScore:
                            "--weights", str(w), "--out", str(tmp_path))
         assert code == 1
         assert "error: validation:" in err
+
+    # SHA-256 of the one file each trust-path run writes; a change that alters these
+    # bytes on purpose updates the digests and says why
+    _TRUST_PATH_PINNED = {
+        "score-uc_a": "70c9e7f3aa33c800a58325c7e9eacb488e96cc72c0ecce10bab230589a780337",
+        "score-uc_b": "b7e426fa10163150bb637703288281b51548a9e624b90f33a0b5dedc65e6343e",
+        "score-uc_c": "c0ae9fe516b8914b06311276b633499af641b711a0e7676fb8437bc181253048",
+        "score-uc_d": "a69d13d4d1c1db0788b40925a56dc0ea5a12929b750395abcb8e2ba1c633833d",
+        "score-proposal_a": "8e7dbad8110ee5a8655bc9893b9c6e9e647e53430920977b33ed977e242e4b4c",
+        "score-proposal_b": "27fb0b43e6b55a9463975f8adeffc1c9639bfd01f1f6a86be6e70a78fd520e1c",
+        "score-desk_scale_1000": "aba90ba251819415a1c7f8b4cf7962f083c004f7cabdaa60611a5238a04ba856",
+        "score-proposal_b-pillars": "2fd4f7bb8609ba2eac665817a753daf5adea38fa4a6a6f122b60c60d0e2c5ce1",
+        "score-proposal_b-renormalized": "143f778234a8f8f033842e9acb92f7cd01a7b7956709ddab7fc6a48f89392f15",
+        "compare-proposals": "c2bb6af1aef30cbfdb8b35f73db3f7dae2b17134f8275d3cec76bf5bc5cab357",
+        "compare-proposals-carbon_emphasis": "ff23a215f28cdbd3893b470e4e57a46815d7b8da3cd48e9d932c55789ff47b31",
+    }
+
+    @pytest.mark.parametrize("case", sorted(_TRUST_PATH_PINNED))
+    def test_trust_path_bytes_pinned(self, capsys, tmp_path, uc, pillars, pillar_dir,
+                                     scenario_dir, case):
+        command, name, *variant = case.split("-")
+        if command == "compare":
+            argv = ["--config", uc("proposal_a"), "--config", uc("proposal_b"),
+                    "--pillars", pillars("proposal_a"), "--pillars", pillars("proposal_b")]
+            if variant:
+                argv += ["--weights", str(scenario_dir.parent / "weights" / "carbon_emphasis.json")]
+        elif variant == ["pillars"]:
+            argv = ["--config", uc(name), "--pillars", pillars(name)]
+        elif variant == ["renormalized"]:
+            fixture = json.loads((pillar_dir / "proposal_b_pillars.json").read_text())
+            del fixture["pillars"]["robustness"]
+            (tmp_path / "p.json").write_text(json.dumps(fixture))
+            (tmp_path / "w.json").write_text(json.dumps({
+                "sustainability": 0.4, "privacy": 0.2, "robustness": 0.1, "fairness": 0.1,
+                "explainability": 0.1, "accountability": 0.05, "federation": 0.05,
+            }))
+            argv = ["--config", uc(name), "--pillars", str(tmp_path / "p.json"),
+                    "--weights", str(tmp_path / "w.json"), "--allow-partial"]
+        else:
+            argv = ["--config", uc(name)]
+        code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0 and not err
+        written = "comparison.json" if command == "compare" else "trust_report.json"
+        digest = hashlib.sha256((tmp_path / "out" / written).read_bytes()).hexdigest()
+        assert digest == self._TRUST_PATH_PINNED[case]
 
     def test_allow_partial_renormalizes_missing_pillar(self, capsys, tmp_path, uc, pillar_dir):
         fixture = json.loads((pillar_dir / "proposal_b_pillars.json").read_text())

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fedsust import fedsim
-from fedsust.config import parse_config
+from fedsust.config import ConfigError, parse_config
 from fedsust.fedsim import (
     SelectionStream,
     SimulationError,
@@ -29,10 +29,12 @@ from fedsust.fedsim import (
     fleet_class_counts,
     hash_client_id,
     hash_label,
+    price_fleet,
     run_federation,
     run_salt,
     sample_clients,
 )
+from fedsust.refdata import HardwareTable, LocationResolver, UnknownHardwareError
 
 
 def reference_sample(seed: int, round_index: int, population: int, draw: int) -> tuple:
@@ -430,3 +432,69 @@ class TestRunFederation:
                 bumped["sample_size"] = base["sample_size"] * 2
             total = run_federation(make_config(**bumped), tables).emissions.total_co2eq_g()
             assert total >= reference, field
+
+
+# ── pricing ───────────────────────────────────────────────────────────────
+
+
+def _spelled(name: str, variant: int) -> str:
+    """``name`` with its letters' case set by the bits of ``variant``: one model, many strings."""
+    letters = iter(range(len(name)))
+    return "".join(ch.upper() if ch.isalpha() and (variant >> next(letters)) & 1 else ch.lower()
+                   for ch in name)
+
+
+class TestPriceFleet:
+    def test_prices_are_keyed_by_values_not_by_mix_entries(self, tables):
+        # 60 distinct hardware strings over two TDPs and 60 distinct locations over two grids
+        models = ("AMD FX-9590", "Intel Core i5-1335U", "Intel Core i7-8650U")  # 220, 15, 15 W
+        n = 60
+        config = make_config(
+            num_clients=n, sample_size=n,
+            client_hardware=[_spelled(models[c % 3], c) for c in range(n)],
+            client_locations=[f"node-eu-{c}" if c % 2 else f"node-za-{c}" for c in range(n)],
+        )
+        prices = price_fleet(config, tables)
+        assert len(prices.client_tdp) == len(prices.client_intensity) == n
+        ch, za = tables.grid.lookup_intensity("CH"), tables.grid.lookup_intensity("ZA")
+        assert set(prices.client_rows) == {(220.0, ch), (220.0, za), (15.0, ch), (15.0, za)}
+        state = run_federation(config, tables)
+        assert {(r.intensity, r.energy_kwh) for r in state.emissions.records if r.role == "client"} == {
+            (intensity, rows[0][2]) for (_, intensity), rows in prices.client_rows.items()
+        }
+
+    def test_set_up_resolves_each_mix_entry_once(self, tables, monkeypatch):
+        calls = Counter()
+        for owner, name in ((LocationResolver, "resolve"), (HardwareTable, "lookup")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda self, value, *rest, _f=original, _n=name:
+                                calls.update([_n]) or _f(self, value, *rest))
+        config = make_config(
+            num_clients=2000, sample_size=10, total_rounds=3,
+            client_hardware=[{"share": 0.5, "model": "AMD FX-9590"},
+                             {"share": 0.3, "model": "Intel Core i5-1335U"},
+                             {"share": 0.2, "model": "Intel Xeon E5-2650"}],
+            client_locations=[{"share": 0.6, "location": "CH"}, {"share": 0.4, "location": "node-za-1"}],
+        )
+        run_federation(config, tables)
+        assert calls == {"lookup": 3 + 1, "resolve": 2 + 1}  # each mix entry, plus the server
+
+    def test_entry_without_clients_is_still_resolved(self, tables):
+        config = make_config(num_clients=5, client_hardware=[
+            {"share": 0.999, "model": "Intel Core i7-1250U"}, {"share": 0.001, "model": "Imaginary 9000"},
+        ])
+        assert fedsim._assign_by_share(config.client_hardware, 5).count("Imaginary 9000") == 0
+        with pytest.raises(UnknownHardwareError):
+            run_federation(config, tables)
+
+    @pytest.mark.parametrize("energy_model, phase", [
+        ({"train_seconds_per_unit": 1e308}, "training"),
+        ({"comm_energy_per_byte": 1e300}, "communication"),
+        ({"agg_seconds_per_unit": 1e308}, "aggregation"),
+    ])
+    def test_overflowing_phase_is_a_config_error_naming_it(self, tables, energy_model, phase):
+        config = make_config(model_size=10**9, energy_model=energy_model)
+        with pytest.raises(ConfigError, match=f"the {phase} phase's .* not a finite float"):
+            price_fleet(config, tables)
+        with pytest.raises(ConfigError, match=phase):
+            run_federation(config, tables)

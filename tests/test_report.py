@@ -232,8 +232,8 @@ class TestTrustReport:
         )
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state)
-        report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS,
-                                    emissions_summary=emissions_summary(state))
+        report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS)
+        report["emissions"] = emissions_summary(state)
         blobs = [
             render_report(report),
             render_report(sheet.as_dict()),
@@ -320,7 +320,7 @@ class TestCanonicalWriter:
                              statistics={"note": "é \"quoted\"\n", "nested": {"xs": [1, 2.5, None]}})
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state).as_dict()
-        report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS,
-                                    emissions_summary=emissions_summary(state))
+        report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS)
+        report["emissions"] = emissions_summary(state)
         for value in (sheet, report):
             assert render_report(value) == canonical_json(value)
