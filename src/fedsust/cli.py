@@ -10,6 +10,7 @@ error prints a single machine-parsable line to stderr of the form
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,8 +52,7 @@ _PILLAR_LEVEL_IDS = frozenset((PILLAR_ID, *EXTERNAL_PILLAR_IDS))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, ScoreError) as exc:
@@ -66,6 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+@functools.cache  # one parser per process: it never changes, and building it costs far more than a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsust",
@@ -187,15 +188,15 @@ def cmd_simulate(args) -> int:
     config, report = _evaluate(args, tables, args.config)
     state = run_federation(config, tables)
     factsheet = populate_factsheet(config, state)
-    report["emissions"] = emissions_summary(state)
+    emissions = report["emissions"] = emissions_summary(state)
 
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
-    write_atomic(out / "factsheet.json", render_report(factsheet.as_dict()))
-    state.emissions.write_csv(out / "emissions.csv")
+    write_atomic(out / "factsheet.json", render_report(factsheet))
+    write_atomic(out / "emissions.csv", state.emissions.to_csv_bytes())
     _print_scores(report)
-    print(f"estimated emissions: {state.emissions.total_co2eq_g():.6g} gCO2eq "
-          f"over {len(state.emissions)} records")
+    print(f"estimated emissions: {emissions['total_co2eq_g_raw']:.6g} gCO2eq "
+          f"over {emissions['records']} records")
     print(f"wrote: {out / 'trust_report.json'}, {out / 'factsheet.json'}, {out / 'emissions.csv'}")
     return EXIT_OK
 

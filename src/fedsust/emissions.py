@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 from .config import EnergyModel
@@ -206,8 +205,3 @@ class EmissionsLog:
                     numbers[tail] = text
             out.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{text}\n".encode("utf-8"))
         return out.getvalue()
-
-    def write_csv(self, path: str | Path) -> None:
-        from .report import write_atomic
-
-        write_atomic(Path(path), self.to_csv_bytes())

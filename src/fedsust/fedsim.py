@@ -50,9 +50,13 @@ its per-client data in :class:`FederationState`, whose entries are already in
 the factsheet's form.
 
 Set-up resolves each hardware and location mix entry once, in
-:func:`price_fleet`, which every command line command also runs: a phase
-whose duration, energy or CO2eq overflows is a validation error, not a
-failed run.
+:func:`price_fleet`, which every command line command also runs. It prices
+every row a run can log, the server's aggregation row included, so the
+rounds only append rows priced at set-up. A phase whose duration, energy or
+CO2eq overflows is a validation error, not a failed run, and so is a run
+whose totals could: ``total_rounds x (sample_size x the largest client
+round + the server row)`` bounds the energy and CO2eq totals, and
+``total_rounds x`` the training duration bounds each client's training time.
 
 numpy is imported only by the label stream and :func:`aggregate_model`, on
 first call, so the commands that never simulate do not load it.
@@ -68,8 +72,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import ConfigError, FederationConfig
-from .emissions import EmissionsLog, energy_to_co2, estimate_energy, track_phase
-from .refdata import HardwareProfile, ReferenceTables
+from .emissions import EmissionsLog, energy_to_co2, estimate_energy
+# track_phase is unused here; bench/tracer.py patches fedsim.track_phase
+from .emissions import track_phase  # noqa: F401
+from .refdata import ReferenceTables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,7 +86,6 @@ __all__ = [
     "FederationState",
     "SelectionStream",
     "SimulationError",
-    "accumulate_class_distribution",
     "aggregate_model",
     "client_class_counts",
     "fleet_class_counts",
@@ -226,28 +231,6 @@ def client_class_counts(seed: int, client_index: int, dataset_size: int, num_cla
     return {f"class_{j}": int(v) for j, v in enumerate(row) if v > 0}
 
 
-def accumulate_class_distribution(
-    distribution: dict[str, int],
-    client_labels: dict[str, int],
-    salt: bytes,
-    hash_registry: dict[str, str] | None = None,
-) -> dict[str, int]:
-    """Fold one client's label counts into the federation-wide hashed map.
-
-    Labels are hashed before they enter the shared map; only collision
-    detection (two distinct labels hashing alike) is logged, never raised.
-    """
-    for label, count in client_labels.items():
-        hashed = hash_label(salt, label)
-        if hash_registry is not None:
-            known = hash_registry.get(hashed)
-            if known is not None and known != label:
-                logger.warning("label hash collision: %r and %r both map to %s", known, label, hashed)
-            hash_registry[hashed] = label
-        distribution[hashed] = distribution.get(hashed, 0) + int(count)
-    return distribution
-
-
 @dataclass
 class FederationState:
     """Final simulator state after the last round.
@@ -289,10 +272,10 @@ _PHASE_FIELDS = {
 }
 
 
-def _finite(value: float, phase: str, quantity: str) -> float:
+def _finite(value: float, phase: str, quantity: str, run_fields: str = "") -> float:
     if not math.isfinite(value):
         raise ConfigError(f"the {phase} phase's {quantity} is {value!r}, not a finite float; "
-                          f"it grows with fields {_PHASE_FIELDS[phase]}")
+                          f"it grows with fields {run_fields}{_PHASE_FIELDS[phase]}")
     return value
 
 
@@ -300,23 +283,23 @@ def _finite(value: float, phase: str, quantity: str) -> float:
 class FleetPrices:
     """What :func:`price_fleet` resolved and priced: the client mixes with each entry's
     TDP and grid intensity, a client's rows in CSV order for each (TDP, intensity) pair,
-    the phase durations, and the server's hardware and grid intensity."""
+    the training duration, and the server's aggregation row, each row
+    ``(phase, duration_s, energy_kwh, intensity, co2eq_g)``."""
 
     client_tdp: tuple[tuple[float, float], ...]
     client_intensity: tuple[tuple[float, float], ...]
     client_rows: dict[tuple[float, float], tuple[tuple, ...]]
     train_s: float
-    agg_s: float
-    server_hardware: HardwareProfile
-    server_intensity: float
+    server_row: tuple
 
 
 def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrices:
-    """Resolve each mix entry once and price every phase a run of ``config`` can log.
+    """Resolve each mix entry once and price every row a run of ``config`` can log.
 
     Prices are keyed by value: each distinct (TDP, grid intensity) pair of the
     two client mixes is priced once, and so is the server's aggregation. A
-    duration, energy or CO2eq that is not a finite float raises ``ConfigError``.
+    duration, energy or CO2eq that is not a finite float raises ``ConfigError``,
+    and so does a bound on the run's totals that is not.
     """
     em = config.energy_model
     utilization = em.effective_utilization()
@@ -341,13 +324,33 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
                 rows = (("communication", 0.0, comm_energy, intensity, co2), *rows)
             client_rows[tdp, intensity] = rows
 
-    server_hw = tables.hardware.lookup(config.server_hardware)
-    server_intensity = grid.lookup_intensity(locations.resolve(config.server_location, grid))
+    server_tdp = tables.hardware.lookup(config.server_hardware).tdp
+    server_intensity = float(grid.lookup_intensity(locations.resolve(config.server_location, grid)))
     agg_s = _finite(em.agg_seconds_per_unit * config.sample_size * (config.model_size / 1e6),
                     "aggregation", "duration_s")
-    agg_energy = _finite(estimate_energy(server_hw.tdp, utilization, agg_s), "aggregation", "energy_kwh")
-    _finite(energy_to_co2(agg_energy, server_intensity), "aggregation", "co2eq_g")
-    return FleetPrices(client_tdp, client_intensity, client_rows, train_s, agg_s, server_hw, server_intensity)
+    agg_energy = _finite(estimate_energy(server_tdp, utilization, agg_s), "aggregation", "energy_kwh")
+    agg_co2 = _finite(energy_to_co2(agg_energy, server_intensity), "aggregation", "co2eq_g")
+    server_row = ("aggregation", agg_s, agg_energy, server_intensity, agg_co2)
+    _bound_run_totals(config, client_rows, train_s, server_row)
+    return FleetPrices(client_tdp, client_intensity, client_rows, train_s, server_row)
+
+
+def _bound_run_totals(config: FederationConfig, client_rows: dict, train_s: float, server_row: tuple):
+    """Raise ``ConfigError`` unless the run's totals stay finite floats.
+
+    No price is negative, so ``total_rounds x (sample_size x the largest client
+    round + the server row)`` bounds the energy and CO2eq totals, and
+    ``total_rounds x train_s`` bounds a client's summed training time. An
+    overflow names the phase with the largest share of a round.
+    """
+    rounds, m = config.total_rounds, config.sample_size
+    _finite(rounds * train_s, "training", "run total duration_s", "total_rounds, ")
+    for index, quantity in ((2, "energy_kwh"), (4, "co2eq_g")):
+        heaviest = max(client_rows.values(), key=lambda rows: sum(row[index] for row in rows))
+        shares = [(m * row[index], row[0]) for row in heaviest] + [(server_row[index], "aggregation")]
+        bound = rounds * sum(share for share, _ in shares)
+        if not math.isfinite(bound):
+            _finite(bound, max(shares)[1], f"run total {quantity}", "total_rounds, sample_size, ")
 
 
 def run_federation(config: FederationConfig, tables: ReferenceTables | None = None) -> FederationState:
@@ -381,9 +384,12 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     training_seconds = [0.0] * n
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
-    totals = {label: total for label, total in zip(labels, label_counts.sum(axis=0).tolist()) if total}
-    class_distribution = accumulate_class_distribution({}, totals, salt, {})
     hashed_labels = [hash_label(salt, label) for label in labels]
+    if len(set(hashed_labels)) < len(hashed_labels):
+        logger.warning("label hash collision: two of the %d class labels map to one hash", len(labels))
+    class_distribution = {
+        hashed: total for hashed, total in zip(hashed_labels, label_counts.sum(axis=0).tolist()) if total
+    }
 
     for t in range(1, rounds + 1):
         selected = sample_clients(n, m, SelectionStream(seed, t))
@@ -391,10 +397,9 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
             selection_counts[client] += 1
             training_seconds[client] += prices.train_s
         ordered = sorted(selected, key=node_ids.__getitem__)
-        log._extend([(t, "client", node_ids[c], *row) for c in ordered for row in client_rows[c]])
-        track_phase(log, node_id="server", role="server", phase="aggregation", round_index=t,
-                    model=config.energy_model, hardware=prices.server_hardware, duration_s=prices.agg_s,
-                    intensity=prices.server_intensity)
+        rows = [(t, "client", node_ids[c], *row) for c in ordered for row in client_rows[c]]
+        rows.append((t, "server", "server", *prices.server_row))  # sorts after "client": CSV order
+        log._extend(rows)
 
     client_statistics = {
         node_id: {

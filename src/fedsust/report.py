@@ -1,4 +1,4 @@
-"""FactSheet accumulation and canonical serialization of the trust report.
+"""The run's factsheet and the canonical serialization of the trust report.
 
 Reports are written in a canonical form -- sorted keys, two-space indent,
 a trailing newline, scores rendered both as two-decimal display strings and
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -26,8 +25,8 @@ from .scoring import KIND_METRIC, WEIGHT_SUM_TOL, ScoreError, ScoreNode, trust_s
 
 __all__ = [
     "EXTERNAL_PILLAR_IDS",
-    "FactSheet",
     "build_trust_report",
+    "completeness",
     "display_score",
     "external_pillars",
     "load_pillar_fixture",
@@ -159,76 +158,61 @@ def load_pillar_fixture(path: str | Path) -> dict[str, float]:
     return external_pillars(resolved)
 
 
-@dataclass
-class FactSheet:
-    """Accountability record of one run, split by lifecycle stage."""
-
-    pre_training: dict = field(default_factory=dict)
-    during_training: dict = field(default_factory=dict)
-    post_training: dict = field(default_factory=dict)
-
-    MANDATORY = {
-        "pre_training": (
-            "num_clients", "total_rounds", "sample_size", "selection_rate",
-            "client_locations", "server_location", "client_hardware", "server_hardware",
-        ),
-        "during_training": ("selection_counts", "class_distribution", "emissions_by_phase_g_raw"),
-        "post_training": ("client_statistics",),
-    }
-
-    def completeness(self) -> tuple[float, list[str]]:
-        """Fraction of mandatory fields populated, and the absent ones."""
-        absent: list[str] = []
-        total = 0
-        for section, fields in self.MANDATORY.items():
-            payload = getattr(self, section)
-            for name in fields:
-                total += 1
-                if name not in payload or payload[name] in (None, {}, []):
-                    absent.append(f"{section}.{name}")
-        return (total - len(absent)) / total, absent
-
-    def as_dict(self) -> dict:
-        fraction, absent = self.completeness()
-        return {
-            "pre_training": self.pre_training,
-            "during_training": self.during_training,
-            "post_training": self.post_training,
-            "completeness": {"fraction": fraction, "absent": absent},
-        }
+# The factsheet fields that must be populated, by section.
+_MANDATORY = {
+    "pre_training": (
+        "num_clients", "total_rounds", "sample_size", "selection_rate",
+        "client_locations", "server_location", "client_hardware", "server_hardware",
+    ),
+    "during_training": ("selection_counts", "class_distribution", "emissions_by_phase_g_raw"),
+    "post_training": ("client_statistics",),
+}
 
 
-def populate_factsheet(config: FederationConfig, state: FederationState) -> FactSheet:
-    """Fill the three factsheet sections from the scenario and the finished run.
+def completeness(sheet: dict) -> dict:
+    """The factsheet's ``completeness`` block: the fraction of mandatory fields
+    populated, and the absent ones as ``section.field``."""
+    absent = [f"{section}.{name}" for section, names in _MANDATORY.items() for name in names
+              if sheet[section].get(name) in (None, {}, [])]
+    total = sum(map(len, _MANDATORY.values()))
+    return {"fraction": (total - len(absent)) / total, "absent": absent}
+
+
+def populate_factsheet(config: FederationConfig, state: FederationState) -> dict:
+    """The accountability record of one run: its three lifecycle sections, filled
+    from the scenario and the finished run, and their :func:`completeness`.
 
     The run's per-client maps are taken as they are, keyed by node id; a
     non-empty ``config.statistics`` is echoed as ``post_training.evaluation``.
     """
-    sheet = FactSheet()
-    sheet.pre_training = {
-        "name": config.name,
-        "num_clients": config.num_clients,
-        "total_rounds": config.total_rounds,
-        "sample_size": config.sample_size,
-        "selection_rate": config.selection_rate,
-        "local_rounds": config.local_rounds,
-        "dataset_size": config.dataset_size,
-        "model_size": config.model_size,
-        "client_locations": [{"share": s, "location": v} for s, v in config.client_locations],
-        "server_location": config.server_location,
-        "client_hardware": [{"share": s, "model": v} for s, v in config.client_hardware],
-        "server_hardware": config.server_hardware,
-        "seed": config.seed,
-    }
-    sheet.during_training = {
-        "rounds_completed": state.round,
-        "selection_counts": state.selection_counts,
-        "class_distribution": state.class_distribution,
-        "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
-    }
-    sheet.post_training = {"client_statistics": state.client_statistics}
+    post_training = {"client_statistics": state.client_statistics}
     if config.statistics:
-        sheet.post_training["evaluation"] = dict(config.statistics)
+        post_training["evaluation"] = dict(config.statistics)
+    sheet = {
+        "pre_training": {
+            "name": config.name,
+            "num_clients": config.num_clients,
+            "total_rounds": config.total_rounds,
+            "sample_size": config.sample_size,
+            "selection_rate": config.selection_rate,
+            "local_rounds": config.local_rounds,
+            "dataset_size": config.dataset_size,
+            "model_size": config.model_size,
+            "client_locations": [{"share": s, "location": v} for s, v in config.client_locations],
+            "server_location": config.server_location,
+            "client_hardware": [{"share": s, "model": v} for s, v in config.client_hardware],
+            "server_hardware": config.server_hardware,
+            "seed": config.seed,
+        },
+        "during_training": {
+            "rounds_completed": state.round,
+            "selection_counts": state.selection_counts,
+            "class_distribution": state.class_distribution,
+            "emissions_by_phase_g_raw": state.emissions.co2eq_by("phase"),
+        },
+        "post_training": post_training,
+    }
+    sheet["completeness"] = completeness(sheet)
     return sheet
 
 

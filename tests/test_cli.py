@@ -1,5 +1,6 @@
 """Tests for the command-line interface: commands, exit codes, outputs."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -105,10 +106,25 @@ _LARGE_SCENARIO = {
 }
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+_UC_A = json.loads((_ROOT / "src" / "fedsust" / "data" / "scenarios" / "uc_a.json").read_text())
+# uc_a edits whose every row is finite but whose run totals are not: ten ~1e307 gCO2eq
+# communication rows, and a 1e307 s training duration summed over 100 rounds
+_TOTALS_OVERFLOW = {
+    "co2eq": {**_UC_A, "energy_model": {"comm_energy_per_byte": 5e300}},
+    "training-time": {**_UC_A, "num_clients": 1, "selection_rate": 1.0, "total_rounds": 100,
+                      "dataset_size": 1, "model_size": 10**7,
+                      "energy_model": {"train_seconds_per_unit": 1e306, "cpu_utilization": 1e-9}},
+}
+
+
 def _every_edit_once(test):
-    """Run ``test`` on each edit of ``_LARGE_SCENARIO`` before the drawn examples."""
+    """Run ``test`` on each edit of ``_LARGE_SCENARIO``, and on each scenario of
+    ``_TOTALS_OVERFLOW``, before the drawn examples."""
     for edit in _EDITS:
         test = example(scenario=_edited(_LARGE_SCENARIO, edit))(test)
+    for scenario in _TOTALS_OVERFLOW.values():
+        test = example(scenario=scenario)(test)
     return test
 
 
@@ -399,6 +415,18 @@ class TestValidate:
             assert code == 1, command
             assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
             assert fields in err and "model_size" in err, err
+            assert "ok" not in out
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("repro", sorted(_TOTALS_OVERFLOW))
+    def test_overflowing_run_total_is_a_validation_error(self, capsys, tmp_path, repro):
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(_TOTALS_OVERFLOW[repro]))
+        for command in ("validate", "score", "simulate"):
+            code, out, err = run(capsys, command, "--config", str(p), "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "run total" in err and "total_rounds" in err, err
             assert "ok" not in out
             assert not (tmp_path / "out").exists()
 
@@ -748,3 +776,39 @@ def test_only_simulate_loads_numpy(tmp_path, scenario_dir, pillar_dir):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "factsheet.json").exists()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, uc):
+    assert main(["validate", "--config", uc("uc_a")]) == 0
+    added = []
+    original = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **k: added.append(a) or original(self, *a, **k))
+    assert main(["validate", "--config", uc("uc_a")]) == 0
+    assert added == []
+
+
+def test_traced_runs_still_install(tmp_path, scenario_dir):
+    # bench/tracer.py wraps names in fedsust's modules, so each must stay bound
+    script = textwrap.dedent("""
+        import sys
+        from tracer import Tracer, install
+        tracer = Tracer()
+        install(tracer)
+        since = tracer.mark()
+        from fedsust.cli import main
+        uc_a, out = sys.argv[1:]
+        assert main(["simulate", "--config", uc_a, "--out", out]) == 0
+        assert main(["validate", "--config", uc_a]) == 0
+        summary = tracer.summary(since)
+        assert summary["fedsim.hash_label.calls"] == 10, summary  # once per class label
+        assert "emissions.track_phase.calls" not in summary, summary
+        assert summary["report.write_atomic.calls"] == 3, summary
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_dir / "uc_a.json"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "bench")])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "emissions.csv").exists()

@@ -131,11 +131,9 @@ class TestEmissionsLog:
         assert abs(run_energy - log.total_energy_kwh()) <= 1e-9 * max(1.0, abs(run_energy))
         assert abs(run_co2 - log.total_co2eq_g()) <= 1e-9 * max(1.0, abs(run_co2))
 
-    def test_csv_is_sorted_and_six_significant_digits(self, tmp_path):
+    def test_csv_is_sorted_and_six_significant_digits(self):
         log = random_log(13, n=50)
-        path = tmp_path / "emissions.csv"
-        log.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = log.to_csv_bytes().decode("utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         keys = []
         for line in lines[1:]:
@@ -174,11 +172,9 @@ class TestEmissionsLog:
         for name in ("round", "role", "node_id", "phase"):
             assert log.co2eq_by(name) == log.co2eq_by(lambda r: getattr(r, name))
 
-    def test_csv_roundtrip_to_six_significant_digits(self, tmp_path):
+    def test_csv_roundtrip_to_six_significant_digits(self):
         log = random_log(15, n=20)
-        path = tmp_path / "emissions.csv"
-        log.write_csv(path)
-        lines = path.read_text().splitlines()[1:]
+        lines = log.to_csv_bytes().decode("utf-8").splitlines()[1:]
         by_key = {
             (r.round, r.role, r.node_id, r.phase): r for r in log.records
         }

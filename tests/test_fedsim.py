@@ -9,6 +9,7 @@ plain Python integers and floats.
 """
 
 import hashlib
+import logging
 import math
 import random
 from collections import Counter
@@ -21,7 +22,6 @@ from fedsust.config import ConfigError, parse_config
 from fedsust.fedsim import (
     SelectionStream,
     SimulationError,
-    accumulate_class_distribution,
     aggregate_model,
     _label_bit_generator,
     _largest_remainder,
@@ -218,43 +218,7 @@ class TestAggregateModel:
             aggregate_model([])
 
 
-# ── class distributions ───────────────────────────────────────────────────
-
-
-class TestClassDistribution:
-    def test_disjoint_labels_union(self):
-        salt = run_salt(1)
-        dist: dict[str, int] = {}
-        accumulate_class_distribution(dist, {"a": 10}, salt)
-        accumulate_class_distribution(dist, {"b": 5}, salt)
-        assert len(dist) == 2
-        assert sum(dist.values()) == 15
-
-    def test_shared_labels_sum(self):
-        salt = run_salt(1)
-        dist: dict[str, int] = {}
-        accumulate_class_distribution(dist, {"a": 10, "b": 1}, salt)
-        accumulate_class_distribution(dist, {"a": 4}, salt)
-        assert dist[hash_label(salt, "a")] == 14
-        assert dist[hash_label(salt, "b")] == 1
-
-    def test_thousand_synthetic_clients_conserve_totals(self):
-        salt = run_salt(3)
-        dist: dict[str, int] = {}
-        total = 0
-        for c in range(1000):
-            labels = client_class_counts(3, c, dataset_size=57, num_classes=10)
-            assert sum(labels.values()) == 57
-            total += 57
-            accumulate_class_distribution(dist, labels, salt)
-        assert sum(dist.values()) == total
-        assert len(dist) == 10
-
-    def test_no_raw_labels_in_map(self):
-        salt = run_salt(4)
-        dist: dict[str, int] = {}
-        accumulate_class_distribution(dist, {"class_3": 5}, salt)
-        assert "class_3" not in dist
+# ── label stream ──────────────────────────────────────────────────────────
 
 
 class TestLabelStream:
@@ -305,6 +269,25 @@ class TestLabelStream:
         key = _label_bit_generator(seed).state["state"]["key"]
         assert [int(w) for w in key] == label_key(seed)
         assert client_class_counts(seed, 3, 50, 10) == reference_class_counts(seed, 3, 50, 10)
+
+    def test_each_class_label_hashed_once_per_run(self, tables, monkeypatch):
+        hashed = []
+        original = fedsim.hash_label
+        monkeypatch.setattr(fedsim, "hash_label", lambda salt, label: hashed.append(label) or original(salt, label))
+        config = make_config(num_clients=1000, sample_size=10, total_rounds=2, dataset_size=57,
+                             num_label_classes=10, seed=3)
+        state = run_federation(config, tables)
+        assert sorted(hashed) == sorted(f"class_{j}" for j in range(10))
+        # the totals are conserved, under hashes only
+        assert sum(state.class_distribution.values()) == 1000 * 57
+        assert len(state.class_distribution) == 10
+        assert not any(key.startswith("class_") for key in state.class_distribution)
+
+    def test_label_hash_collision_is_logged(self, tables, monkeypatch, caplog):
+        monkeypatch.setattr(fedsim, "hash_label", lambda salt, label: "0" * 16)
+        with caplog.at_level(logging.WARNING, logger="fedsust.fedsim"):
+            run_federation(make_config(num_label_classes=3), tables)
+        assert "label hash collision" in caplog.text
 
     def test_run_hashes_the_column_totals(self, tables):
         config = make_config(num_clients=30, dataset_size=7, num_label_classes=12)
@@ -444,6 +427,12 @@ def _spelled(name: str, variant: int) -> str:
                    for ch in name)
 
 
+# every row is finite, but the run's totals are not: ten ~1e307 gCO2eq communication
+# rows, and a 1e308 s training duration summed over ten rounds
+_TOTALS_OVERFLOW = ({"comm_energy_per_byte": 4.9e296},
+                    {"train_seconds_per_unit": 1e303, "cpu_utilization": 1e-9})
+
+
 class TestPriceFleet:
     def test_prices_are_keyed_by_values_not_by_mix_entries(self, tables):
         # 60 distinct hardware strings over two TDPs and 60 distinct locations over two grids
@@ -491,10 +480,15 @@ class TestPriceFleet:
         ({"train_seconds_per_unit": 1e308}, "training"),
         ({"comm_energy_per_byte": 1e300}, "communication"),
         ({"agg_seconds_per_unit": 1e308}, "aggregation"),
+        (_TOTALS_OVERFLOW[0], "communication"),
+        (_TOTALS_OVERFLOW[1], "training"),
     ])
     def test_overflowing_phase_is_a_config_error_naming_it(self, tables, energy_model, phase):
         config = make_config(model_size=10**9, energy_model=energy_model)
-        with pytest.raises(ConfigError, match=f"the {phase} phase's .* not a finite float"):
+        with pytest.raises(ConfigError, match=f"the {phase} phase's .* not a finite float") as caught:
             price_fleet(config, tables)
+        run_total = energy_model in _TOTALS_OVERFLOW
+        assert ("run total" in str(caught.value)) == run_total
+        assert ("total_rounds" in str(caught.value)) == run_total
         with pytest.raises(ConfigError, match=phase):
             run_federation(config, tables)

@@ -12,6 +12,7 @@ from fedsust.config import parse_config
 from fedsust.fedsim import run_federation
 from fedsust.report import (
     build_trust_report,
+    completeness,
     display_score,
     emissions_summary,
     external_pillars,
@@ -149,28 +150,26 @@ class TestFactSheet:
         config = make_config()
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state)
-        fraction, absent = sheet.completeness()
-        assert fraction == 1.0 and absent == []
-        payload = sheet.as_dict()
-        assert payload["pre_training"]["num_clients"] == 5
-        assert payload["pre_training"]["total_rounds"] == 10
-        assert payload["pre_training"]["selection_rate"] == 0.2
+        assert sheet["completeness"] == {"fraction": 1.0, "absent": []}
+        assert sheet["pre_training"]["num_clients"] == 5
+        assert sheet["pre_training"]["total_rounds"] == 10
+        assert sheet["pre_training"]["selection_rate"] == 0.2
 
     def test_completeness_monotone_in_populated_fields(self, tables):
         config = make_config()
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state)
-        base_fraction, _ = sheet.completeness()
-        del sheet.during_training["class_distribution"]
-        reduced_fraction, absent = sheet.completeness()
-        assert reduced_fraction < base_fraction
-        assert "during_training.class_distribution" in absent
+        base_fraction = completeness(sheet)["fraction"]
+        del sheet["during_training"]["class_distribution"]
+        reduced = completeness(sheet)
+        assert reduced["fraction"] < base_fraction
+        assert "during_training.class_distribution" in reduced["absent"]
 
     def test_passthrough_statistics_are_echoed(self, tables):
         config = make_config(statistics={"client_test_accuracy": 0.91, "clever_score": 0.4})
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state)
-        assert sheet.post_training["evaluation"]["clever_score"] == 0.4
+        assert sheet["post_training"]["evaluation"]["clever_score"] == 0.4
 
 
 # ── trust report ──────────────────────────────────────────────────────────
@@ -236,7 +235,7 @@ class TestTrustReport:
         report["emissions"] = emissions_summary(state)
         blobs = [
             render_report(report),
-            render_report(sheet.as_dict()),
+            render_report(sheet),
             state.emissions.to_csv_bytes(),
         ]
         for blob in blobs:
@@ -245,7 +244,7 @@ class TestTrustReport:
                 assert f"client:{c}" not in text
             assert "class_0" not in text  # labels only as salted hashes
         # hashed ids are stable within a run and keyed by the seed
-        counts = json.loads(render_report(sheet.as_dict()))["during_training"]["selection_counts"]
+        counts = json.loads(render_report(sheet))["during_training"]["selection_counts"]
         assert len(counts) == 7
         assert all(len(k) == 16 for k in counts)
 
@@ -319,7 +318,7 @@ class TestCanonicalWriter:
         config = make_config(num_clients=7, client_locations=["CH", "CH", "ZA", "ZA", "ZA", "AL", "AL"],
                              statistics={"note": "é \"quoted\"\n", "nested": {"xs": [1, 2.5, None]}})
         state = run_federation(config, tables)
-        sheet = populate_factsheet(config, state).as_dict()
+        sheet = populate_factsheet(config, state)
         report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS)
         report["emissions"] = emissions_summary(state)
         for value in (sheet, report):
