@@ -218,6 +218,27 @@ class TestAggregateModel:
             aggregate_model([])
 
 
+# ── class distributions ───────────────────────────────────────────────────
+
+
+class TestClassDistribution:
+    def test_thousand_synthetic_clients_conserve_totals(self, tables):
+        for c in range(1000):
+            assert sum(client_class_counts(3, c, dataset_size=57, num_classes=10).values()) == 57
+        config = make_config(num_clients=1000, sample_size=10, total_rounds=2, dataset_size=57,
+                             num_label_classes=10, seed=3)
+        state = run_federation(config, tables)
+        assert sum(state.class_distribution.values()) == 1000 * 57
+        assert len(state.class_distribution) == 10
+
+    def test_no_raw_labels_in_map(self, tables):
+        state = run_federation(make_config(num_label_classes=4, seed=4), tables)
+        assert state.class_distribution
+        assert not any(key.startswith("class_") for key in state.class_distribution)
+        salt = run_salt(4)
+        assert set(state.class_distribution) <= {hash_label(salt, f"class_{j}") for j in range(4)}
+
+
 # ── label stream ──────────────────────────────────────────────────────────
 
 
@@ -276,12 +297,8 @@ class TestLabelStream:
         monkeypatch.setattr(fedsim, "hash_label", lambda salt, label: hashed.append(label) or original(salt, label))
         config = make_config(num_clients=1000, sample_size=10, total_rounds=2, dataset_size=57,
                              num_label_classes=10, seed=3)
-        state = run_federation(config, tables)
+        run_federation(config, tables)
         assert sorted(hashed) == sorted(f"class_{j}" for j in range(10))
-        # the totals are conserved, under hashes only
-        assert sum(state.class_distribution.values()) == 1000 * 57
-        assert len(state.class_distribution) == 10
-        assert not any(key.startswith("class_") for key in state.class_distribution)
 
     def test_label_hash_collision_is_logged(self, tables, monkeypatch, caplog):
         monkeypatch.setattr(fedsim, "hash_label", lambda salt, label: "0" * 16)
