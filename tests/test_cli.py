@@ -643,6 +643,52 @@ class TestSimulate:
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    # A wide fleet where most clients are never drawn, and a small long run whose
+    # rows hold zero counts (dataset_size < num_label_classes) and whose repeated
+    # training-time sums differ from the single duration.
+    _WIDE_FLEETS = {
+        "wide": dict(num_clients=5000, sample_size=10, total_rounds=20, dataset_size=500,
+                     num_label_classes=10, local_rounds=2, model_size=1_600_000, seed=11),
+        "zero_counts": dict(num_clients=200, sample_size=9, total_rounds=100, dataset_size=5,
+                            num_label_classes=12, local_rounds=3, model_size=98_765, seed=2**63 + 5),
+    }
+    _WIDE_PINNED = {
+        "wide": {
+            "trust_report.json": "d62509c8eab8115f6861ae4ad78944d76c79fb3e038565724a60573401b7df36",
+            "factsheet.json": "fcd1d7296b1679dad69e3c4e7d503fcc34072cfad316b363d349635029414e33",
+            "emissions.csv": "d1abeae4fdff97b8b3df379e9150a3cf781ae7ad9606a1a8b5e5a98d8cf317cf",
+        },
+        "zero_counts": {
+            "trust_report.json": "f1196cb1113d3cb7d529cafa83d1ca52159d1f31fb229b37b6ca0fcfa9f44f0d",
+            "factsheet.json": "539f533c6daa60bdf30c125fdc8fd7820bc074150e3533d1c663061e757a8bde",
+            "emissions.csv": "eaf0ef7136fda7d85b40dc7715ada412a39e10c8f53a008afa61a67f99ad469e",
+        },
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_WIDE_FLEETS))
+    def test_wide_fleet_bytes_pinned(self, capsys, tmp_path, shape):
+        # SHA-256 of each output of `simulate` on a generated fleet with three hardware
+        # and three location entries; as for the desk pin, a deliberate change updates them
+        scenario = {
+            "name": f"pinned_{shape}",
+            **self._WIDE_FLEETS[shape],
+            "client_hardware": [{"share": 0.45, "model": "Intel Core i7-1250U"},
+                                {"share": 0.35, "model": "AMD FX-9590"},
+                                {"share": 0.2, "model": "NVIDIA GeForce RTX 3060"}],
+            "client_locations": [{"share": 0.5, "location": "ch"}, {"share": 0.3, "location": "ZA"},
+                                 {"share": 0.2, "location": "203.0.113.128"}],
+            "server_hardware": "Intel Xeon E5-2650",
+            "server_location": "node-eu-7",
+            "energy_model": {"cpu_utilization": 0.7, "comm_energy_per_byte": 1e-12},
+            "statistics": {"accuracy": 0.8125},
+        }
+        (tmp_path / "fleet.json").write_text(json.dumps(scenario))
+        code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "fleet.json"),
+                         "--out", str(tmp_path / "out"))
+        assert code == 0
+        for name, digest in self._WIDE_PINNED[shape].items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
     def test_outputs_get_the_umask_mode(self, capsys, tmp_path, uc):
         previous = os.umask(0o022)
         try:
