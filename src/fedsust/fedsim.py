@@ -45,9 +45,11 @@ Synthetic label splits come from one run-wide Philox4x64-10 stream
 Client records
 --------------
 Every client is hashed once per run, by :func:`hash_client_id` under
-:func:`run_salt`. The node id of a client's emission rows is also the key of
-its per-client data in :class:`FederationState`, whose entries are already in
-the factsheet's form.
+:func:`run_salt`. The node id of a client's emission rows is also its key in
+the factsheet. Per-client data is held in columns, one row per client index,
+by :class:`ClientTable`; the factsheet's writer formats each client's entry
+from those columns, and :class:`SelectionCounts` reads them as a mapping
+from node id to rounds drawn.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -68,7 +70,9 @@ import hashlib
 import logging
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .config import ConfigError, FederationConfig
@@ -83,7 +87,9 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "ClientTable",
     "FederationState",
+    "SelectionCounts",
     "SelectionStream",
     "SimulationError",
     "aggregate_model",
@@ -231,21 +237,75 @@ def client_class_counts(seed: int, client_index: int, dataset_size: int, num_cla
     return {f"class_{j}": int(v) for j, v in enumerate(row) if v > 0}
 
 
+@dataclass(frozen=True, eq=False)
+class ClientTable:
+    """Per-client columns of a run, row ``c`` for client index ``c``.
+
+    ``node_ids[c]`` is the client's salted hash, ``counts[c]`` the rounds it
+    was drawn in, and ``class_counts[c, j]`` its samples of class ``j``,
+    whose salted hash is ``labels[j]``. With the run's ``rounds``,
+    ``dataset_size`` and per-round ``train_s`` these determine the client's
+    factsheet entry: ``participation_rate`` is ``counts[c] / rounds``, and
+    ``avg_training_time_s`` is ``train_s`` summed ``counts[c]`` times and
+    divided by ``counts[c]`` (0.0 for a client never drawn).
+    """
+
+    node_ids: list[str]
+    counts: list[int]
+    class_counts: np.ndarray
+    labels: list[str]
+    rounds: int
+    dataset_size: int
+    train_s: float
+
+    def __len__(self) -> int:
+        return len(self.node_ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Node id -> row, built on first use."""
+        return {node_id: c for c, node_id in enumerate(self.node_ids)}
+
+    @cached_property
+    def node_order(self) -> list[int]:
+        """The rows sorted by node id, the factsheet's order."""
+        return sorted(range(len(self.node_ids)), key=self.node_ids.__getitem__)
+
+
+class SelectionCounts(Mapping):
+    """Node id -> rounds drawn, read from a :class:`ClientTable`'s columns."""
+
+    def __init__(self, table: ClientTable):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self):
+        return iter(self.table.node_ids)
+
+    def __getitem__(self, node_id: str) -> int:
+        return self.table.counts[self.table.row_of[node_id]]
+
+
 @dataclass
 class FederationState:
     """Final simulator state after the last round.
 
-    Per-client data is keyed by the salted node id that the client's emission
-    rows carry; each ``client_statistics`` entry is the factsheet's entry:
-    ``participation_rate``, ``avg_training_time_s``, ``dataset_size`` and
-    ``class_balance``.
+    ``clients`` holds the per-client columns; ``selection_counts`` reads them
+    as a mapping from node id, the key the client's emission rows carry, to
+    the rounds it was drawn in. ``class_distribution`` maps each class's
+    salted hash to its fleet-wide sample count, zero counts omitted.
     """
 
     round: int
-    selection_counts: dict[str, int]
     class_distribution: dict[str, int]
     emissions: EmissionsLog
-    client_statistics: dict[str, dict]
+    clients: ClientTable
+
+    @property
+    def selection_counts(self) -> SelectionCounts:
+        return SelectionCounts(self.clients)
 
 
 def _assign_by_share(mix: tuple[tuple[float, object], ...], population: int) -> list:
@@ -381,7 +441,6 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     log = EmissionsLog()
     node_ids = [hash_client_id(salt, c) for c in range(n)]
     selection_counts = [0] * n
-    training_seconds = [0.0] * n
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]
@@ -395,29 +454,12 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         selected = sample_clients(n, m, SelectionStream(seed, t))
         for client in selected:
             selection_counts[client] += 1
-            training_seconds[client] += prices.train_s
         ordered = sorted(selected, key=node_ids.__getitem__)
         rows = [(t, "client", node_ids[c], *row) for c in ordered for row in client_rows[c]]
         rows.append((t, "server", "server", *prices.server_row))  # sorts after "client": CSV order
         log._extend(rows)
 
-    client_statistics = {
-        node_id: {
-            "participation_rate": count / rounds,
-            # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
-            "avg_training_time_s": seconds / count if count else 0.0,
-            "dataset_size": config.dataset_size,
-            "class_balance": {h: v for h, v in zip(hashed_labels, row) if v},
-        }
-        for node_id, count, seconds, row in zip(
-            node_ids, selection_counts, training_seconds, label_counts.tolist()
-        )
-    }
-
-    return FederationState(
-        round=rounds,
-        selection_counts=dict(zip(node_ids, selection_counts)),
-        class_distribution=class_distribution,
-        emissions=log,
-        client_statistics=client_statistics,
-    )
+    clients = ClientTable(node_ids, selection_counts, label_counts, hashed_labels,
+                          rounds, config.dataset_size, prices.train_s)
+    return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,
+                           clients=clients)

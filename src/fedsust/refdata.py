@@ -27,7 +27,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -186,7 +185,7 @@ def default_data_dir() -> Path:
     env = os.environ.get("FEDSUST_DATA_DIR")
     if env:
         return Path(env)
-    return Path(str(resources.files("fedsust").joinpath("data")))
+    return Path(__file__).with_name("data")
 
 
 def _rows(path: Path, expected_header: list[str]):

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from decimal import ROUND_HALF_EVEN, Decimal
+from itertools import compress
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__
 from .config import FederationConfig, config_digest, read_json
 # hash_client_id is unused here; bench/tracer.py patches report.hash_client_id
-from .fedsim import FederationState, hash_client_id  # noqa: F401
+from .fedsim import ClientTable, FederationState, SelectionCounts, hash_client_id  # noqa: F401
 from .scoring import KIND_METRIC, WEIGHT_SUM_TOL, ScoreError, ScoreNode, trust_score
 
 __all__ = [
@@ -173,19 +175,27 @@ def completeness(sheet: dict) -> dict:
     """The factsheet's ``completeness`` block: the fraction of mandatory fields
     populated, and the absent ones as ``section.field``."""
     absent = [f"{section}.{name}" for section, names in _MANDATORY.items() for name in names
-              if sheet[section].get(name) in (None, {}, [])]
+              if _empty(sheet[section].get(name))]
     total = sum(map(len, _MANDATORY.values()))
     return {"fraction": (total - len(absent)) / total, "absent": absent}
+
+
+def _empty(value) -> bool:
+    # by length: a client table compared with {} would first be copied entry by entry
+    return value is None or (isinstance(value, (list, Mapping, ClientTable)) and not len(value))
 
 
 def populate_factsheet(config: FederationConfig, state: FederationState) -> dict:
     """The accountability record of one run: its three lifecycle sections, filled
     from the scenario and the finished run, and their :func:`completeness`.
 
-    The run's per-client maps are taken as they are, keyed by node id; a
-    non-empty ``config.statistics`` is echoed as ``post_training.evaluation``.
+    The per-client blocks, ``selection_counts`` and ``client_statistics``, are
+    the run's :class:`~fedsust.fedsim.SelectionCounts` and
+    :class:`~fedsust.fedsim.ClientTable`, which :func:`render_report` writes
+    from their columns. A non-empty ``config.statistics`` is echoed as
+    ``post_training.evaluation``.
     """
-    post_training = {"client_statistics": state.client_statistics}
+    post_training = {"client_statistics": state.clients}
     if config.statistics:
         post_training["evaluation"] = dict(config.statistics)
     sheet = {
@@ -323,13 +333,18 @@ def _check_self_consistency(report: dict) -> None:
 
 def render_report(report: dict) -> bytes:
     """UTF-8 of ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False,
-    allow_nan=False)`` and a newline. A non-finite float raises ``ValueError``; a
-    non-``str`` key or a type other than exact dict, list, tuple, str, int, float,
-    bool and ``None`` raises ``TypeError``."""
+    allow_nan=False)`` and a newline. A :class:`~fedsust.fedsim.SelectionCounts`
+    is written as the dict it reads as, and a :class:`~fedsust.fedsim.ClientTable`
+    as the dict of its clients' factsheet entries keyed by node id. A non-finite
+    float raises ``ValueError``; a non-``str`` key or any other type than these
+    and exact dict, list, tuple, str, int, float, bool and ``None`` raises
+    ``TypeError``."""
     chunks: list[str] = []
-    _write_json(report, chunks, "\n", {})
+    _write_json(report, chunks, "\n")
     chunks.append("\n")
-    return "".join(chunks).encode("utf-8")
+    text = "".join(chunks)
+    chunks.clear()  # a factsheet's pieces are freed before its text is encoded
+    return text.encode("utf-8")
 
 
 def _finite_repr(value: float) -> str:
@@ -343,35 +358,26 @@ _SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
             bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
-def _write_json(value, chunks: list[str], newline: str, prefixes: dict) -> None:
-    """Append the JSON of ``value``, laid out at the padding of ``newline``.
-
-    ``prefixes`` caches each key's ``,<newline>"key": `` per padding, since a
-    factsheet's client entries repeat a few field names and label hashes.
-    """
+def _write_json(value, chunks: list[str], newline: str) -> None:
+    """Append the JSON of ``value``, laid out at the padding of ``newline``."""
     kind = type(value)
     write = _SCALARS.get(kind)
     if write is not None:
         chunks.append(write(value))
     elif kind is dict and value:
         inner = newline + "  "
-        cache = prefixes.get(inner)
-        if cache is None:
-            cache = prefixes[inner] = {}
         emit, scalar = chunks.append, _SCALARS.get
         emit("{")
         first = len(chunks)
         for key in sorted(value):
-            prefix = cache.get(key)
-            if prefix is None:
-                if type(key) is not str:
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                prefix = cache[key] = f",{inner}{encode_basestring(key)}: "
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            prefix = f",{inner}{encode_basestring(key)}: "
             item = value[key]
             write = scalar(type(item))
             if write is None:
                 emit(prefix)
-                _write_json(item, chunks, inner, prefixes)
+                _write_json(item, chunks, inner)
             else:
                 emit(prefix + write(item))
         chunks[first] = chunks[first][1:]  # no comma before the first key
@@ -381,13 +387,73 @@ def _write_json(value, chunks: list[str], newline: str, prefixes: dict) -> None:
         separator = "[" + inner
         for item in value:
             chunks.append(separator)
-            _write_json(item, chunks, inner, prefixes)
+            _write_json(item, chunks, inner)
             separator = "," + inner
         chunks.append(newline + "]")
     elif kind is dict or kind is list or kind is tuple:
         chunks.append("{}" if kind is dict else "[]")
+    elif kind is SelectionCounts or kind is ClientTable:
+        _write_clients(value, chunks, newline)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str) -> None:
+    """Append a per-client block, one entry per client in node-id order, formatted
+    from the columns of the table behind ``value``."""
+    table = value.table if type(value) is SelectionCounts else value
+    if not len(table):
+        chunks.append("{}")
+        return
+    inner = newline + "  "
+    if table is value:
+        entries = _client_entries(table, inner)
+    else:
+        node_ids, counts = table.node_ids, table.counts
+        entries = [f",{inner}{encode_basestring(node_ids[c])}: {counts[c]!r}" for c in table.node_order]
+    entries[0] = "{" + entries[0][1:]  # an open brace, not a comma, before the first entry
+    chunks += entries
+    chunks.append(newline + "}")
+
+
+def _client_entries(table: ClientTable, inner: str) -> list[str]:
+    """Each client's factsheet entry after ``,<inner>``, in node-id order.
+
+    An entry is a head and a tail that depend on the client's count alone,
+    around its class balance: one ``%`` template, which fills these rows about
+    twice as fast as ``str.format``, takes a row without zero counts, and the
+    template's cells of its non-zero counts take any other row.
+    """
+    field = inner + "  "
+    label = field + "  "
+    dataset_size = int.__repr__(table.dataset_size)
+    heads, tails = {}, {}
+    seconds, summed = 0.0, 0
+    for count in sorted(set(table.counts)):
+        while summed < count:  # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
+            seconds += table.train_s
+            summed += 1
+        heads[count] = (f': {{{field}"avg_training_time_s": {_finite_repr(seconds / count if count else 0.0)},'
+                        f'{field}"class_balance": {{{label}')
+        tails[count] = (f'{field}}},{field}"dataset_size": {dataset_size},'
+                        f'{field}"participation_rate": {_finite_repr(count / table.rounds)}{inner}}}')
+
+    by_label = sorted(range(len(table.labels)), key=table.labels.__getitem__)
+    cells = [encode_basestring(table.labels[j]).replace("%", "%%") + ": %d" for j in by_label]
+    between = "," + label
+    full = between.join(cells)
+    rows = table.class_counts[:, by_label].tolist()  # rows sum to dataset_size >= 1: none is empty
+    node_ids, counts = table.node_ids, table.counts
+    entries = []
+    for c in table.node_order:
+        row = rows[c]
+        if 0 in row:
+            balance = between.join(compress(cells, row)) % tuple(filter(None, row))
+        else:
+            balance = full % tuple(row)
+        count = counts[c]
+        entries.append(f",{inner}{encode_basestring(node_ids[c])}{heads[count]}{balance}{tails[count]}")
+    return entries
 
 
 def emissions_summary(state: FederationState) -> dict:

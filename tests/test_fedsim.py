@@ -314,8 +314,10 @@ class TestLabelStream:
         assert state.class_distribution == {
             hash_label(salt, f"class_{j}"): int(t) for j, t in enumerate(batch.sum(axis=0)) if t
         }
+        clients = state.clients
         for c in range(30):
-            assert state.client_statistics[hash_client_id(salt, c)]["class_balance"] == {
+            assert clients.node_ids[c] == hash_client_id(salt, c)
+            assert {clients.labels[j]: int(v) for j, v in enumerate(clients.class_counts[c]) if v} == {
                 hash_label(salt, f"class_{j}"): int(v) for j, v in enumerate(batch[c]) if v
             }
 
@@ -332,8 +334,8 @@ class TestRunFederation:
     def test_full_rate_means_full_participation(self, tables):
         config = make_config(num_clients=4, selection_rate=1.0, sample_size=4, total_rounds=6)
         state = run_federation(config, tables)
-        assert len(state.client_statistics) == 4
-        assert all(s["participation_rate"] == 1.0 for s in state.client_statistics.values())
+        assert len(state.clients) == 4
+        assert all(count / state.clients.rounds == 1.0 for count in state.clients.counts)
 
     def test_each_client_hashed_once_and_keyed_by_its_node_id(self, tables, monkeypatch):
         hashed = []
@@ -343,7 +345,7 @@ class TestRunFederation:
         assert sorted(hashed) == list(range(12))
         node_ids = {r.node_id for r in state.emissions.records if r.role == "client"}
         assert len(node_ids) == 12
-        assert set(state.selection_counts) == set(state.client_statistics) == node_ids
+        assert set(state.selection_counts) == set(state.clients.node_ids) == node_ids
 
     def test_huge_model_size_prices_finite_rows(self, tables):
         config = make_config(num_clients=6, sample_size=3, total_rounds=50, model_size=10**9,
@@ -412,9 +414,9 @@ class TestRunFederation:
         state = run_federation(config, tables)
         p = 0.3
         sigma = math.sqrt(p * (1 - p) / config.total_rounds)
-        assert len(state.client_statistics) == 10
-        for stats in state.client_statistics.values():
-            assert abs(stats["participation_rate"] - p) <= 3 * sigma
+        assert len(state.clients) == 10
+        for count in state.clients.counts:
+            assert abs(count / state.clients.rounds - p) <= 3 * sigma
 
     def test_emissions_monotone_in_each_complexity_driver(self, tables):
         base = dict(num_clients=6, sample_size=3, total_rounds=4, local_rounds=2,

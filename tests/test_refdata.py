@@ -10,6 +10,7 @@ from fedsust.refdata import (
     UnknownGridError,
     UnknownHardwareError,
     UnresolvableLocationError,
+    default_data_dir,
     load_grid_intensity,
     load_hardware,
     load_locations,
@@ -175,6 +176,13 @@ def test_env_var_overrides_data_dir(tmp_path, monkeypatch):
     assert tables.grid.lookup_intensity("QQ") == 123
     assert tables.hardware.lookup("test chip").power_performance == 10.0
     assert tables.locations.resolve("test-node-3", tables.grid) == "QQ"
+
+
+def test_bundled_data_dir_without_env_var(monkeypatch):
+    monkeypatch.delenv("FEDSUST_DATA_DIR", raising=False)
+    data_dir = default_data_dir()
+    for name in ("grid_intensity.csv", "hardware.csv", "locations.csv"):
+        assert (data_dir / name).is_file(), name
 
 
 def test_resolver_with_no_prefixes_still_passes_codes(tables):

@@ -1,5 +1,6 @@
 """Tests for factsheet population, report rendering, and external pillars."""
 
+import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsust.config import parse_config
-from fedsust.fedsim import run_federation
+from fedsust.fedsim import ClientTable, SelectionCounts, run_federation
 from fedsust.report import (
     build_trust_report,
     completeness,
@@ -165,6 +166,25 @@ class TestFactSheet:
         assert reduced["fraction"] < base_fraction
         assert "during_training.class_distribution" in reduced["absent"]
 
+    def test_completeness_reads_the_client_blocks_by_length(self, tables, monkeypatch):
+        def compared(self, other):
+            raise AssertionError("a client block was compared entry by entry")
+
+        monkeypatch.setattr(SelectionCounts, "__eq__", compared)
+        monkeypatch.setattr(ClientTable, "__eq__", compared)
+        config = make_config()
+        state = run_federation(config, tables)
+        sheet = populate_factsheet(config, state)
+        assert sheet["completeness"] == {"fraction": 1.0, "absent": []}
+        empty = dataclasses.replace(state.clients, node_ids=[], counts=[],
+                                    class_counts=state.clients.class_counts[:0])
+        sheet["during_training"]["selection_counts"] = SelectionCounts(empty)
+        sheet["post_training"]["client_statistics"] = empty
+        assert completeness(sheet)["absent"] == [
+            "during_training.selection_counts", "post_training.client_statistics",
+        ]
+        assert render_report(sheet["post_training"]) == canonical_json({"client_statistics": {}})
+
     def test_passthrough_statistics_are_echoed(self, tables):
         config = make_config(statistics={"client_test_accuracy": 0.91, "clever_score": 0.4})
         state = run_federation(config, tables)
@@ -264,6 +284,43 @@ def canonical_json(value) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def plain(value):
+    """``value`` with each per-client block as the plain dict it stands for."""
+    if type(value) is dict:
+        return {key: plain(item) for key, item in value.items()}
+    if type(value) is SelectionCounts:
+        return dict(zip(value.table.node_ids, value.table.counts))
+    if type(value) is ClientTable:
+        entries = {}
+        for node_id, count, row in zip(value.node_ids, value.counts, value.class_counts.tolist()):
+            seconds = 0.0
+            for _ in range(count):
+                seconds += value.train_s
+            entries[node_id] = {
+                "participation_rate": count / value.rounds,
+                "avg_training_time_s": seconds / count if count else 0.0,
+                "dataset_size": value.dataset_size,
+                "class_balance": {label: v for label, v in zip(value.labels, row) if v},
+            }
+        return entries
+    return value
+
+
+@st.composite
+def small_fleets(draw):
+    """Fleets of up to 40 clients where most rows hold zero counts and some
+    clients are never drawn."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, max(1, n // 3)))
+    classes = draw(st.integers(1, 12))
+    return make_config(
+        num_clients=n, sample_size=m, selection_rate=m / n, total_rounds=draw(st.integers(1, 6)),
+        num_label_classes=classes, dataset_size=draw(st.integers(1, classes + 2)),
+        local_rounds=draw(st.integers(1, 3)), model_size=draw(st.integers(1, 10**7)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
 # quotes, backslashes, control characters and non-ASCII text, never a lone surrogate
 _TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028é€😀ab')
                 | st.characters(codec="utf-8"), max_size=8)
@@ -322,4 +379,10 @@ class TestCanonicalWriter:
         report = build_trust_report(config, scored_pillar(config, tables), EXTERNALS)
         report["emissions"] = emissions_summary(state)
         for value in (sheet, report):
-            assert render_report(value) == canonical_json(value)
+            assert render_report(value) == canonical_json(plain(value))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(config=small_fleets())
+    def test_client_blocks_match_json_dumps(self, tables, config):
+        sheet = populate_factsheet(config, run_federation(config, tables))
+        assert render_report(sheet) == canonical_json(plain(sheet))
