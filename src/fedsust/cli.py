@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
-    """The one pipeline of every command: returns ``(config, trust report)``.
+    """The one pipeline of every command: returns ``(config, trust report, fleet prices)``.
 
     Parses the scenario and applies ``--seed``, scores the pillar under the
     weight file's tree weights, prices the fleet (an overflowing phase is a
@@ -133,11 +133,11 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}
     scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-    price_fleet(config, tables)
+    prices = price_fleet(config, tables)
     externals = load_pillar_fixture(args.pillars[min(which, len(args.pillars) - 1)]) if args.pillars else None
     report = build_trust_report(config, scored, externals, pillar_weights=pillar_weights,
                                 allow_partial=args.allow_partial)
-    return config, report
+    return config, report, prices
 
 
 def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
@@ -167,13 +167,13 @@ def _print_scores(report: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    config, _ = _evaluate(args, ReferenceTables.load(), args.config)
+    config, _, _ = _evaluate(args, ReferenceTables.load(), args.config)
     print(f"ok: scenario '{config.name}' is valid")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    _, report = _evaluate(args, ReferenceTables.load(), args.config)
+    _, report, _ = _evaluate(args, ReferenceTables.load(), args.config)
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
     _print_scores(report)
@@ -185,8 +185,8 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"field 'workers' must be >= 1, got {args.workers}")
     tables = ReferenceTables.load()
-    config, report = _evaluate(args, tables, args.config)
-    state = run_federation(config, tables)
+    config, report, prices = _evaluate(args, tables, args.config)
+    state = run_federation(config, prices=prices)
     factsheet = populate_factsheet(config, state)
     emissions = report["emissions"] = emissions_summary(state)
 
@@ -207,7 +207,7 @@ def cmd_compare(args) -> int:
     tables = ReferenceTables.load()
     sides = []
     for i, config_path in enumerate(args.config):
-        config, report = _evaluate(args, tables, config_path, which=i)
+        config, report, _ = _evaluate(args, tables, config_path, which=i)
         if report["trust"] is None:
             raise ConfigError("compare needs external pillar scores; pass --pillars")
         external = [e["score_raw"] for _, e in sorted(report["pillars"].items()) if e["source"] == "external"]

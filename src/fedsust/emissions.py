@@ -4,18 +4,20 @@ Energy is estimated, not measured: a phase drawing ``tdp`` watts at a given
 utilization for ``duration`` seconds consumes
 ``tdp * utilization * duration / 3.6e6`` kWh, and emits
 ``energy_kwh * grid_intensity`` grams of CO2eq. Rows accumulate in an
-:class:`EmissionsLog`, a columnar table; the persisted CSV is sorted by
-``(round, role, node_id, phase)`` so the file bytes are deterministic no
-matter in which order rows were added.
+:class:`EmissionsLog` of round blocks; the persisted CSV is in
+``(round, role, node_id, phase)`` order so the file bytes are deterministic
+no matter in which order rows were added.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import operator
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, groupby
 from types import SimpleNamespace
 
 from .config import EnergyModel
@@ -42,6 +44,10 @@ ROW_FIELDS = ("round", "role", "node_id", "phase", "duration_s", "energy_kwh", "
 _ENERGY = ROW_FIELDS.index("energy_kwh")
 _CO2 = ROW_FIELDS.index("co2eq_g")
 _SORT_KEY = operator.itemgetter(*range(_CO2))
+_ROUND = operator.itemgetter(0)
+# A priced row holds the fields after round, role and node id.
+_PRICED_ENERGY = _ENERGY - 3
+_PRICED_CO2 = _CO2 - 3
 
 # kWh per watt-second.
 _WS_PER_KWH = 3.6e6
@@ -128,80 +134,166 @@ def track_phase(
 
 
 class EmissionsLog:
-    """Columnar table of emission rows, one list per field of ``ROW_FIELDS``.
+    """Emission rows stored as round blocks.
 
-    ``add`` appends a validated :class:`EmissionRecord`; the simulator
-    appends whole rounds of rows it priced itself. Totals ``math.fsum`` the
-    columns: exactly rounded, so no row order changes them; plain running
-    sums cross-check them. Only the CSV and ``sorted_records`` sort, and only
-    when rows were not appended in CSV order.
+    A node is a role, a node id and one or more priced rows ``(phase,
+    duration_s, energy_kwh, intensity, co2eq_g)``. A log made from a run's
+    prices holds one node per client, ``node_ids[c]`` with ``client_rows[c]``,
+    and the server node with ``server_row``; these rows are not checked, so
+    each client's must be in CSV order and every row priced by
+    :func:`estimate_energy` and :func:`energy_to_co2`. :meth:`add_round` logs
+    a round as its index and its drawn clients: each client's rows, then the
+    server row. :meth:`add` logs one validated record as a one-row block.
+
+    The length, the totals and ``co2eq_by("phase" | "role")`` come from each
+    distinct priced row and the number of times it was logged: ``math.fsum``
+    is exactly rounded, so the sum of that multiset does not depend on row
+    order, and it takes one term per power of two in a count. The CSV is
+    written block by block from line text made once per logged node, and
+    sorted only when rows were logged out of CSV order. Everything else
+    expands the rows on demand.
     """
 
-    def __init__(self) -> None:
-        self._columns: tuple[list, ...] = tuple([] for _ in ROW_FIELDS)
+    def __init__(self, node_ids: Sequence[str] = (), client_rows: Sequence[tuple] = (),
+                 server_row: tuple | None = None) -> None:
+        if len(node_ids) != len(client_rows):
+            raise EmissionsError(f"{len(node_ids)} node ids for {len(client_rows)} clients' rows")
+        self._roles = ["client"] * len(node_ids)
+        self._node_ids = list(node_ids)
+        self._rows = list(client_rows)
+        self._server = None if server_row is None else self._node("server", "server", (server_row,))
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []  # (round, nodes)
+        self._last_key: tuple = ()  # sort key of the last row logged
+        self._ordered = True  # whether every block continued CSV order
+        self._tallied: tuple = (-1, None)  # (blocks tallied, tally)
+
+    def _node(self, role: str, node_id: str, rows: tuple) -> int:
+        self._roles.append(role)
+        self._node_ids.append(node_id)
+        self._rows.append(rows)
+        return len(self._rows) - 1
+
+    def _log(self, round_index: int, nodes: tuple[int, ...], ordered: bool) -> None:
+        first, last = nodes[0], nodes[-1]
+        first_key = (round_index, self._roles[first], self._node_ids[first], *self._rows[first][0][:4])
+        self._ordered = self._ordered and ordered and self._last_key <= first_key
+        self._last_key = (round_index, self._roles[last], self._node_ids[last], *self._rows[last][-1][:4])
+        self._blocks.append((round_index, nodes))
 
     def add(self, record: EmissionRecord) -> None:
-        self._extend([tuple(getattr(record, name) for name in ROW_FIELDS)])
+        row = (record.phase, record.duration_s, record.energy_kwh, record.intensity, record.co2eq_g)
+        self._log(record.round, (self._node(record.role, record.node_id, (row,)),), True)
 
-    def _extend(self, rows: list[tuple]) -> None:
-        """Append rows in ``ROW_FIELDS`` order, unchecked: each must hold a role
-        in ``ROLES``, a phase in ``PHASES``, a round >= 0 and numbers priced by
-        :func:`estimate_energy` and :func:`energy_to_co2`."""
-        for column, values in zip(self._columns, zip(*rows)):
-            column.extend(values)
+    def add_round(self, round_index: int, clients: Sequence[int]) -> None:
+        """Log round ``round_index``: the rows of each client in ``clients``, distinct
+        indices into ``node_ids``, in that order, then the server row. Given in
+        node-id order, as the simulator gives them, the rows need no sort to be
+        written as CSV."""
+        if round_index < 0:
+            raise EmissionsError(f"round must be >= 0, got {round_index}")
+        ids = list(map(self._node_ids.__getitem__, clients))
+        # strictly: a repeated client or a node id collision would interleave rows
+        self._log(round_index, (*clients, self._server), all(map(operator.lt, ids, ids[1:])))
 
-    def __len__(self) -> int:
-        return len(self._columns[0])
+    def _tally(self) -> tuple[Counter, list[tuple[str, tuple, int]]]:
+        """``(logged, priced)``: the blocks each logged node is in, and each distinct
+        ``(role, priced row, times logged)``; counted again only after new blocks."""
+        if self._tallied[0] != len(self._blocks):
+            priced: dict[tuple, list] = {}
+            logged = Counter(chain.from_iterable(nodes for _, nodes in self._blocks))
+            for node, times in logged.items():
+                role = self._roles[node]
+                for row in self._rows[node]:
+                    priced.setdefault((role, id(row)), [role, row, 0])[2] += times
+            self._tallied = (len(self._blocks), (logged, [tuple(e) for e in priced.values()]))
+        return self._tallied[1]
+
+    def _expanded(self):
+        """Every row as a ``ROW_FIELDS`` tuple, in the order logged."""
+        roles, node_ids, rows = self._roles, self._node_ids, self._rows
+        return ((round_index, roles[node], node_ids[node], *row)
+                for round_index, nodes in self._blocks for node in nodes for row in rows[node])
 
     def _csv_rows(self):
-        # the simulator appends in CSV order: sorting would copy each row and its key
-        following = itertools.islice(zip(*self._columns), 1, None)
-        if all(map(operator.le, zip(*self._columns), following)):
-            return zip(*self._columns)
         # numeric fields break ties so file bytes never depend on insertion order
-        return sorted(zip(*self._columns), key=_SORT_KEY)
+        return self._expanded() if self._ordered else sorted(self._expanded(), key=_SORT_KEY)
+
+    def __len__(self) -> int:
+        _, priced = self._tally()
+        return sum(times for _, _, times in priced)
 
     @property
     def records(self) -> list[EmissionRecord]:
-        return [EmissionRecord(**dict(zip(ROW_FIELDS, row))) for row in zip(*self._columns)]
+        return [EmissionRecord(**dict(zip(ROW_FIELDS, row))) for row in self._expanded()]
 
     def sorted_records(self) -> list[EmissionRecord]:
         return [EmissionRecord(**dict(zip(ROW_FIELDS, row))) for row in self._csv_rows()]
 
+    def _fsum(self, index: int) -> float:
+        _, priced = self._tally()
+        return math.fsum(chain.from_iterable(_repeated(row[index], times) for _, row, times in priced))
+
     def total_energy_kwh(self) -> float:
-        return math.fsum(self._columns[_ENERGY])
+        return self._fsum(_PRICED_ENERGY)
 
     def total_co2eq_g(self) -> float:
-        return math.fsum(self._columns[_CO2])
+        return self._fsum(_PRICED_CO2)
 
     def running_totals(self) -> tuple[float, float]:
         """(energy kWh, CO2eq g) accumulated row by row in insertion order."""
-        return sum(self._columns[_ENERGY]), sum(self._columns[_CO2])
+        rows = list(self._expanded())
+        return sum(row[_ENERGY] for row in rows), sum(row[_CO2] for row in rows)
 
     def co2eq_by(self, key) -> dict:
         """Group CO2eq grams by a column (``"phase"``) or by ``key(row)``, where
         ``row`` is one reused view with the record's field names as attributes."""
-        if isinstance(key, str):
-            keys = self._columns[ROW_FIELDS.index(key)]
+        if key == "role" or key == "phase":
+            _, priced = self._tally()
+            values = ((role if key == "role" else row[0], _repeated(row[_PRICED_CO2], times))
+                      for role, row, times in priced)
+        elif isinstance(key, str):
+            column = ROW_FIELDS.index(key)
+            values = ((row[column], (row[_CO2],)) for row in self._expanded())
         else:
             view = SimpleNamespace()
-            keys = (vars(view).update(zip(ROW_FIELDS, row)) or key(view) for row in zip(*self._columns))
+            values = ((vars(view).update(zip(ROW_FIELDS, row)) or key(view), (row[_CO2],))
+                      for row in self._expanded())
         groups: dict = {}
-        for k, co2 in zip(keys, self._columns[_CO2]):
+        for k, co2 in values:
             groups.setdefault(k, []).append(co2)
-        return {k: math.fsum(v) for k, v in groups.items()}
+        return {k: math.fsum(chain.from_iterable(v)) for k, v in groups.items()}
 
     def to_csv_bytes(self) -> bytes:
-        # a client's four numbers repeat in every round it is drawn: format them once
-        numbers: dict[tuple, str] = {}
+        if self._ordered:
+            lines = self._node_lines()
+            rounds = ((t, chain.from_iterable(map(lines.__getitem__, nodes))) for t, nodes in self._blocks)
+        else:
+            rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in rows])
+                      for t, rows in groupby(self._csv_rows(), key=_ROUND))
         out = io.BytesIO()
         out.write(f"{CSV_HEADER}\n".encode("utf-8"))
-        for row in self._csv_rows():
-            tail = row[4:]
-            text = numbers.get(tail)
-            if text is None:
-                text = ",".join(format(x, ".6g") for x in tail)
-                if all(tail):  # 0.0 == -0.0 as a key, but they print differently
-                    numbers[tail] = text
-            out.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{text}\n".encode("utf-8"))
+        for round_index, text in rounds:  # one round at a time: never the whole file as one str
+            head = f"{round_index},"
+            out.write((head + head.join(text)).encode("utf-8"))
         return out.getvalue()
+
+    def _node_lines(self) -> dict[int, tuple[str, ...]]:
+        """Each logged node's CSV lines without the round, one per row."""
+        logged, priced = self._tally()
+        # formatted once per priced row, keyed by identity: 0.0 == -0.0, but they print apart
+        numbers = {id(row): _numbers(row[1:]) for _, row, _ in priced}
+        roles, node_ids, rows = self._roles, self._node_ids, self._rows
+        return {node: tuple(f"{roles[node]},{node_ids[node]},{row[0]},{numbers[id(row)]}\n"
+                            for row in rows[node])
+                for node in logged}
+
+
+def _repeated(value: float, times: int) -> list[float]:
+    """Floats summing exactly to ``times`` copies of ``value``: ``value`` scaled by each
+    power of two in ``times``. Scaling by a power of two is exact while the product
+    is finite, so ``math.fsum`` of them gives the bits of ``fsum([value] * times)``."""
+    return [value * (1 << bit) for bit in range(times.bit_length()) if times >> bit & 1]
+
+
+def _numbers(values) -> str:
+    return ",".join([format(x, ".6g") for x in values])

@@ -21,7 +21,7 @@ here so it can be reimplemented independently:
 * the round's subset is a partial Fisher-Yates shuffle of
   ``[0, ..., N-1]``: for ``i = 0 .. m-1``, draw word ``w`` and swap
   positions ``i`` and ``i + (w mod (N - i))``; the first ``m`` positions,
-  sorted ascending, are the selected clients.
+  sorted ascending, are the selected clients (every client when ``m = N``).
 
 Label stream
 ------------
@@ -106,7 +106,6 @@ __all__ = [
 _SAMPLE_TAG = b"fedsust-sample"
 _LABEL_TAG = b"fedsust-labels"
 _SALT_TAG = b"fedsust-salt"
-_BLOCK_WORDS = struct.Struct(">4Q")  # a digest as four big-endian unsigned 64-bit words
 
 
 class SimulationError(ValueError):
@@ -123,28 +122,40 @@ class SelectionStream:
             raise SimulationError(f"round index must be >= 0, got {round_index}")
         self._prefix = _SAMPLE_TAG + seed.to_bytes(8, "big") + round_index.to_bytes(8, "big")
         self._counter = 0
-        self._words: list[int] = []  # the current block's unread words, last-to-first
+        self._words: list[int] = []  # the current block's unread words, in order
+
+    def take(self, count: int) -> list[int]:
+        """The next ``count`` words, as ``count`` calls of :meth:`next_u64` return them,
+        unpacked in one call from the digests of every block they need."""
+        words = self._words
+        if len(words) < count:
+            blocks = range(self._counter, self._counter + (count - len(words) + 3) // 4)
+            self._counter = blocks.stop
+            digests = b"".join([hashlib.sha256(self._prefix + k.to_bytes(8, "big")).digest() for k in blocks])
+            words = [*words, *struct.unpack(f">{4 * len(blocks)}Q", digests)]
+        self._words = words[count:]
+        return words[:count]
 
     def next_u64(self) -> int:
-        if not self._words:
-            block = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-            self._words = list(_BLOCK_WORDS.unpack(block))[::-1]
-        return self._words.pop()
+        return self.take(1)[0]
 
 
 def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) -> tuple[int, ...]:
-    """Draw a uniform ``sample_size``-subset of ``range(num_clients)``, sorted."""
+    """Draw a uniform ``sample_size``-subset of ``range(num_clients)``, sorted.
+
+    A full draw picks every client whatever the words, so it reads none.
+    """
     if sample_size < 1 or sample_size > num_clients:
         raise SimulationError(
             f"sample size {sample_size} must lie in [1, num_clients={num_clients}]"
         )
+    if sample_size == num_clients:
+        return tuple(range(num_clients))
     # Only displaced positions are stored; position i is never read after step i.
     swapped: dict[int, int] = {}
     picked = []
-    next_u64 = stream.next_u64
-    for i in range(sample_size):
-        j = i + next_u64() % (num_clients - i)
+    for i, word in enumerate(stream.take(sample_size)):
+        j = i + word % (num_clients - i)
         picked.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
     return tuple(sorted(picked))
@@ -413,21 +424,23 @@ def _bound_run_totals(config: FederationConfig, client_rows: dict, train_s: floa
             _finite(bound, max(shares)[1], f"run total {quantity}", "total_rounds, sample_size, ")
 
 
-def run_federation(config: FederationConfig, tables: ReferenceTables | None = None) -> FederationState:
+def run_federation(config: FederationConfig, tables: ReferenceTables | None = None,
+                   prices: FleetPrices | None = None) -> FederationState:
     """Execute the orchestration loop for ``config.total_rounds`` rounds.
 
     Per round, serially: draw ``sample_size`` clients without replacement,
     log a training row per drawn client (plus a communication row when
-    communication energy is priced) and one server aggregation row. Set-up
-    prices the fleet with :func:`price_fleet`, resolving each mix entry once
-    (so an unresolvable entry fails even when no client gets it), and hashes
-    every client once; each round sorts only its own rows. Label splits are
-    drawn for the whole fleet in one batch, and each class label is hashed
-    once per run. Every random draw is addressed by the seed and a round or
+    communication energy is priced) and one server aggregation row.
+    ``prices`` is :func:`price_fleet`'s result for ``config``, priced from
+    ``tables`` when absent; pricing resolves each mix entry once, so an
+    unresolvable entry fails even when no client gets it. Set-up hashes every
+    client once, and each round is logged as one block, its clients in
+    node-id order. Label splits are drawn for the whole fleet in one batch,
+    and each class label is hashed once per run. Every random draw is addressed by the seed and a round or
     client index, so results depend on nothing but ``(config, seed)``.
     """
-    tables = tables or ReferenceTables.load()
-    prices = price_fleet(config, tables)
+    if prices is None:
+        prices = price_fleet(config, tables or ReferenceTables.load())
 
     n = config.num_clients
     m = config.sample_size
@@ -436,10 +449,8 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     salt = run_salt(seed)
 
     pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
-    client_rows = [prices.client_rows[pair] for pair in pairs]
-
-    log = EmissionsLog()
     node_ids = [hash_client_id(salt, c) for c in range(n)]
+    log = EmissionsLog(node_ids, [prices.client_rows[pair] for pair in pairs], prices.server_row)
     selection_counts = [0] * n
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
@@ -454,10 +465,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         selected = sample_clients(n, m, SelectionStream(seed, t))
         for client in selected:
             selection_counts[client] += 1
-        ordered = sorted(selected, key=node_ids.__getitem__)
-        rows = [(t, "client", node_ids[c], *row) for c in ordered for row in client_rows[c]]
-        rows.append((t, "server", "server", *prices.server_row))  # sorts after "client": CSV order
-        log._extend(rows)
+        log.add_round(t, sorted(selected, key=node_ids.__getitem__))
 
     clients = ClientTable(node_ids, selection_counts, label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedsust import cli, fedsim
 from fedsust.cli import main
 from fedsust.report import load_pillar_fixture
 
@@ -688,6 +689,37 @@ class TestSimulate:
         assert code == 0
         for name, digest in self._WIDE_PINNED[shape].items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+    def test_signed_zero_rows_print_their_sign(self, capsys, tmp_path, uc):
+        # a -0.0 aggregation time prices the server's rows at -0.0 and a 0.0 training time
+        # the clients' at 0.0; 0.0 == -0.0, so number text cached by value would merge them.
+        # The digest is the emissions.csv written before the table stored round blocks.
+        scenario = json.loads(Path(uc("uc_d")).read_text())
+        scenario["energy_model"] = {"train_seconds_per_unit": 0.0, "agg_seconds_per_unit": -0.0}
+        (tmp_path / "zero.json").write_text(json.dumps(scenario))
+        code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "zero.json"),
+                         "--out", str(tmp_path / "out"))
+        assert code == 0
+        csv = (tmp_path / "out" / "emissions.csv").read_bytes()
+        rows = [line.split(",", 3) for line in csv.decode("utf-8").splitlines()[1:]]
+        assert [row[3] for row in rows if row[1] == "server"] == ["aggregation,-0,-0,709,-0"] * 10
+        assert {row[3] for row in rows if row[1] == "client"} == {"training,0,0,709,0"}
+        assert hashlib.sha256(csv).hexdigest() == \
+            "4231587fd71e6ee37a15b8a5dc62255b3c3cd05b606ec80bc940bd313371a712"
+
+    def test_simulate_prices_the_fleet_once(self, capsys, tmp_path, monkeypatch, uc):
+        calls = []
+        original = fedsim.price_fleet
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "price_fleet", counted)
+        monkeypatch.setattr(fedsim, "price_fleet", counted)
+        code, _, _ = run(capsys, "simulate", "--config", uc("uc_d"), "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_outputs_get_the_umask_mode(self, capsys, tmp_path, uc):
         previous = os.umask(0o022)

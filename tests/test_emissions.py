@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsust.config import EnergyModel
+from fedsust.config import EnergyModel, parse_config
 from fedsust.emissions import (
     CSV_HEADER,
     EmissionRecord,
@@ -16,6 +18,7 @@ from fedsust.emissions import (
     estimate_energy,
     track_phase,
 )
+from fedsust.fedsim import run_federation
 from fedsust.refdata import HardwareProfile
 
 
@@ -152,20 +155,38 @@ class TestEmissionsLog:
         assert log_a.to_csv_bytes() == log_b.to_csv_bytes()
 
     def test_appended_rows_match_added_records_in_any_order(self):
-        records = random_log(16).records
-        added = EmissionsLog()
-        for record in records:
-            added.add(record)
-        rows = sorted(tuple(getattr(r, name) for name in ROW_FIELDS) for r in records)
-        in_order, out_of_order = EmissionsLog(), EmissionsLog()
-        in_order._extend(rows[:80])
-        in_order._extend(rows[80:])
-        out_of_order._extend(rows[80:])
-        out_of_order._extend(rows[:80])
-        for log in (in_order, out_of_order):
-            assert log.to_csv_bytes() == added.to_csv_bytes()
-            assert log.sorted_records() == added.sorted_records()
-            assert log.total_co2eq_g() == added.total_co2eq_g()
+        # round blocks logged in CSV order and out of it, against one add() per row;
+        # in the second fleet clients 3 and 5 share a node id, so blocks holding both
+        # are out of CSV order however their clients are ordered
+        rng = random.Random(16)
+        groups = []
+        for _ in range(3):
+            intensity, energy, comm = rng.uniform(20, 795), rng.uniform(0, 2), rng.uniform(0, 0.1)
+            training = ("training", rng.uniform(0, 100), energy, intensity, energy * intensity)
+            communication = ("communication", 0.0, comm, intensity, comm * intensity)
+            groups.append(rng.choice(((training,), (communication, training))))
+        client_rows = [rng.choice(groups) for _ in range(12)]
+        agg = rng.uniform(0, 0.01)
+        server_row = ("aggregation", rng.uniform(0, 10), agg, 32.0, agg * 32.0)
+        rounds = {t: rng.sample(range(12), rng.randint(1, 12)) for t in range(1, 21)}
+        distinct = [f"{rng.getrandbits(64):016x}" for _ in range(12)]
+        colliding = [*distinct[:5], distinct[3], *distinct[6:]]
+        for node_ids in (distinct, colliding):
+            rows = [(t, "client", node_ids[c], *row) for t, clients in rounds.items()
+                    for c in clients for row in client_rows[c]]
+            rows += [(t, "server", "server", *server_row) for t in rounds]
+            added = EmissionsLog()
+            for row in rng.sample(rows, len(rows)):
+                added.add(EmissionRecord(**dict(zip(ROW_FIELDS, row))))
+            in_order, out_of_order = (EmissionsLog(node_ids, client_rows, server_row) for _ in range(2))
+            for t in sorted(rounds):
+                in_order.add_round(t, sorted(rounds[t], key=node_ids.__getitem__))
+            for t in rng.sample(sorted(rounds), len(rounds)):
+                out_of_order.add_round(t, rounds[t])
+            for log in (in_order, out_of_order):
+                assert log.to_csv_bytes() == added.to_csv_bytes()
+                assert log.sorted_records() == added.sorted_records()
+                assert log.total_co2eq_g() == added.total_co2eq_g()
 
     def test_field_name_and_callable_keys_group_alike(self):
         log = random_log(17)
@@ -182,3 +203,63 @@ class TestEmissionsLog:
             parts = line.split(",")
             record = by_key[(int(parts[0]), parts[1], parts[2], parts[3])]
             assert float(parts[7]) == pytest.approx(record.co2eq_g, rel=1e-5)
+
+
+_HARDWARE = ("Intel Core i7-1250U", "AMD FX-9590", "Intel Xeon E5-2650")
+_LOCATIONS = ("AL", "ch", "ZA")
+
+
+@st.composite
+def small_fleets(draw):
+    """Fleets of 1-30 clients over 1-20 rounds, with 1-3 hardware and location entries,
+    so priced rows repeat, and with communication priced on some."""
+    n = draw(st.integers(1, 30))
+
+    def mix(pool, key):
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        parts = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        return [{"share": part / sum(parts), key: value} for part, value in zip(parts, values)]
+
+    energy_model = {"comm_energy_per_byte": draw(st.sampled_from((0.0, 0.0, 1e-12)))}
+    for name in ("train_seconds_per_unit", "agg_seconds_per_unit"):
+        seconds = draw(st.sampled_from((None, None, 0.0, -0.0)))
+        if seconds is not None:
+            energy_model[name] = seconds
+    return parse_config({
+        "name": "drawn",
+        "num_clients": n,
+        "total_rounds": draw(st.integers(1, 20)),
+        "sample_size": draw(st.integers(1, n)),
+        "local_rounds": draw(st.integers(1, 3)),
+        "dataset_size": draw(st.integers(1, 500)),
+        "model_size": draw(st.integers(1, 10**7)),
+        "client_hardware": mix(_HARDWARE, "model"),
+        "client_locations": mix(_LOCATIONS, "location"),
+        "server_hardware": draw(st.sampled_from(_HARDWARE)),
+        "server_location": draw(st.sampled_from(_LOCATIONS)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "energy_model": energy_model,
+    })
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(config=small_fleets())
+def test_round_blocks_match_a_row_by_row_reference(tables, config):
+    log = run_federation(config, tables).emissions
+    rows = [tuple(getattr(record, name) for name in ROW_FIELDS) for record in log.records]
+    per_client = 2 if config.energy_model.comm_energy_per_byte > 0 else 1
+    assert len(rows) == config.total_rounds * (config.sample_size * per_client + 1)
+    ordered = sorted(rows, key=lambda row: row[:7])
+    csv = "".join(f"{row[0]},{row[1]},{row[2]},{row[3]},{','.join(format(x, '.6g') for x in row[4:])}\n"
+                  for row in ordered)
+    assert log.to_csv_bytes() == f"{CSV_HEADER}\n{csv}".encode("utf-8")
+    assert [tuple(getattr(r, name) for name in ROW_FIELDS) for r in log.sorted_records()] == ordered
+    assert len(log) == len(rows)
+    assert log.total_energy_kwh() == math.fsum(row[5] for row in rows)
+    assert log.total_co2eq_g() == math.fsum(row[7] for row in rows)
+    for column, name in ((1, "role"), (3, "phase")):
+        groups = {row[column] for row in rows}
+        assert log.co2eq_by(name) == {
+            k: math.fsum(row[7] for row in rows if row[column] == k) for k in groups
+        }
+    assert log.running_totals() == (sum(row[5] for row in rows), sum(row[7] for row in rows))

@@ -68,6 +68,16 @@ def reference_sample(seed: int, round_index: int, population: int, draw: int) ->
     return tuple(sorted(arrangement[:draw]))
 
 
+def reference_words(seed: int, round_index: int, count: int) -> list[int]:
+    """The first ``count`` words of the documented selection stream."""
+    words = []
+    for k in range(count // 4 + 1):
+        digest = hashlib.sha256(b"fedsust-sample" + seed.to_bytes(8, "big")
+                                + round_index.to_bytes(8, "big") + k.to_bytes(8, "big")).digest()
+        words += [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
+    return words[:count]
+
+
 _U64 = 2**64 - 1
 
 
@@ -159,10 +169,19 @@ class TestSampleClients:
             assert all(0 <= c < 23 for c in got)
 
     def test_matches_independent_reference_sampler(self):
-        for seed, n, m in ((42, 5, 2), (7, 23, 7), (2**63, 100, 1), (0, 4, 4)):
+        for seed, n, m in ((42, 5, 2), (7, 23, 7), (2**63, 100, 1), (0, 4, 4), (3, 1, 1), (9, 7, 7),
+                           (1, 1000, 1000)):
             for t in range(250):
                 assert sample_clients(n, m, SelectionStream(seed, t)) == \
                     reference_sample(seed, t, n, m)
+
+    @pytest.mark.parametrize("count", (1, 4, 5, 200))
+    def test_batched_words_equal_successive_single_words(self, count):
+        # after three words the batch starts one word before a block boundary
+        single, batched = SelectionStream(11, 4), SelectionStream(11, 4)
+        words = [single.next_u64() for _ in range(3 + count + 2)]
+        assert words == reference_words(11, 4, 3 + count + 2)
+        assert batched.take(3) + batched.take(count) + batched.take(2) == words
 
     def test_matches_list_reference_on_random_cases(self):
         rng = random.Random(17)
