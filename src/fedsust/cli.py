@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_scenario
+from .config import ConfigError, check_seed, load_scenario
 from .fedsim import price_fleet, run_federation
 from .refdata import ReferenceDataError, ReferenceTables
 from .report import (
@@ -126,9 +126,7 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
         )
     config = load_scenario(config_path)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {args.seed}")
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=check_seed(args.seed))
     weights = load_weight_config(args.weights) if args.weights else {}
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}

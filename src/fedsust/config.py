@@ -40,22 +40,28 @@ __all__ = [
     "ConfigError",
     "EnergyModel",
     "FederationConfig",
+    "check_seed",
+    "check_weights",
     "config_digest",
     "load_scenario",
     "parse_config",
     "read_json",
+    "require_number",
 ]
 
-SHARE_SUM_TOL = 1e-9
+# every group of weights or shares sums to 1 within this (math.fsum)
+WEIGHT_SUM_TOL = 1e-9
 RATE_TOL = 1e-9
 MAX_SEED = 2**64 - 1
-# ImageNet-1k's class count; simulate holds a num_clients x num_label_classes
-# float64 array, so the ceiling bounds its width
+# ImageNet-1k's class count
 MAX_LABEL_CLASSES = 1000
 # the count anchors of the complexity score stop at 10^6 clients and rounds; simulate keeps
-# per-client lists and a num_clients x num_label_classes label array, and works per round
+# per-client lists and works per round
 MAX_CLIENTS = 10**6
 MAX_ROUNDS = 10**6
+# simulate's num_clients x num_label_classes label synthesis peaks near 63 bytes a cell:
+# MAX_CLIENTS clients at the default 10 classes, about 630 MB
+MAX_LABEL_CELLS = MAX_CLIENTS * 10
 # the size anchors of the complexity score stop at 10^10 samples; above ~10^16 the
 # float64 label split of simulate no longer sums to dataset_size, and at 2^63 it overflows
 MAX_DATASET_SIZE = 10**10
@@ -207,13 +213,7 @@ def _finite_number(text: str) -> float:
 
 def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig:
     """Validate a scenario mapping and return the frozen config."""
-    known = {
-        "name", "description", "notes", "num_clients", "total_rounds", "local_rounds",
-        "sample_size", "selection_rate", "dataset_size", "model_size",
-        "client_hardware", "client_locations", "server_hardware", "server_location",
-        "seed", "energy_model", "score_overrides", "num_label_classes", "statistics",
-    }
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {f.name for f in fields(FederationConfig)} - {"notes"})
     if unknown:
         raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
 
@@ -225,12 +225,15 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
 
     sample_size, selection_rate = _sampling_fields(data, num_clients)
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {seed!r}")
+    seed = check_seed(data.get("seed", 0))
 
     num_label_classes = _int_field(data, "num_label_classes", minimum=1, maximum=MAX_LABEL_CLASSES,
                                    default=10)
+    if num_clients * num_label_classes > MAX_LABEL_CELLS:
+        raise ConfigError(
+            f"fields 'num_clients' x 'num_label_classes' ({num_clients} x {num_label_classes}) "
+            f"must be <= {MAX_LABEL_CELLS}"
+        )
 
     energy_raw = data.get("energy_model", {})
     if not isinstance(energy_raw, dict):
@@ -239,7 +242,7 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     if unknown:
         raise ConfigError(f"field 'energy_model' has unknown sub-field(s): {', '.join(unknown)}")
     for key, value in energy_raw.items():
-        _require_real(f"energy_model.{key}", value)
+        require_number(value, f"field 'energy_model.{key}'", ConfigError)
     energy = EnergyModel(**energy_raw)
 
     overrides_raw = data.get("score_overrides", {})
@@ -247,10 +250,10 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError("field 'score_overrides' must be an object")
     score_overrides: dict[str, float] = {}
     for key, value in overrides_raw.items():
-        _require_real(f"score_overrides.{key}", value)
-        if not 0.0 <= float(value) <= 1.0:
+        score = require_number(value, f"field 'score_overrides.{key}'", ConfigError)
+        if not 0.0 <= score <= 1.0:
             raise ConfigError(f"field 'score_overrides.{key}' must lie in [0, 1], got {value!r}")
-        score_overrides[str(key)] = float(value)
+        score_overrides[str(key)] = score
 
     statistics = data.get("statistics", {})
     if not isinstance(statistics, dict):
@@ -290,7 +293,7 @@ def _sampling_fields(data: dict, num_clients: int) -> tuple[int, float]:
                 f"field 'sample_size' ({sample_size}) exceeds 'num_clients' ({num_clients})"
             )
     if has_rate:
-        rate = float(_require_real("selection_rate", data["selection_rate"]))
+        rate = require_number(data["selection_rate"], "field 'selection_rate'", ConfigError)
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"field 'selection_rate' must lie in (0, 1], got {rate}")
     if has_m and has_rate:
@@ -320,7 +323,7 @@ def _int_field(data: dict, name: str, minimum: int, maximum: int | None = None,
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-    _require_real(name, value)
+    require_number(value, f"field {name!r}", ConfigError)
     if value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -328,15 +331,44 @@ def _int_field(data: dict, name: str, minimum: int, maximum: int | None = None,
     return value
 
 
-def _require_real(name: str, value):
-    # values are used as floats; float() of an int beyond ~1.8e308 overflows
+def require_number(value, what: str, error: type[ValueError]) -> float:
+    """``value`` as a float if it is a JSON number (an int or float, not a bool)
+    that fits one; otherwise ``error`` naming ``what``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+        raise error(f"{what} must be a number, got {value!r}")
     try:
-        float(value)
-    except OverflowError:
-        raise ConfigError(f"field {name!r} is too large: a {value.bit_length()}-bit integer") from None
-    return value
+        return float(value)
+    except OverflowError:  # an int beyond ~1.8e308
+        raise error(f"{what} is too large for a float: a {value.bit_length()}-bit integer") from None
+
+
+def check_weights(weights: list[float], what: str, error: type[ValueError],
+                  renormalize: bool = False) -> list[float]:
+    """The rule of every weight group: each weight finite and >= 0, and the
+    ``math.fsum`` of the group within ``WEIGHT_SUM_TOL`` of 1.
+
+    A group off 1 raises ``error`` naming ``what``; with ``renormalize`` it is
+    returned divided by its sum instead, and a zero sum raises. A group that
+    passes is returned as given.
+    """
+    for i, w in enumerate(weights):
+        if not (math.isfinite(w) and w >= 0.0):
+            raise error(f"{what} must be finite and >= 0, got {w!r} at position {i}")
+    total = math.fsum(weights)
+    if abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        return weights
+    if not renormalize:
+        raise error(f"{what} sum to {total!r}, expected 1.0")
+    if total <= 0.0:
+        raise error(f"{what} sum to zero; cannot renormalize")
+    return [w / total for w in weights]
+
+
+def check_seed(seed) -> int:
+    """``seed`` if it is an integer in [0, 2^64); otherwise a ConfigError."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"field 'seed' must be an integer in [0, 2^64), got {seed!r}")
+    return seed
 
 
 def _str_field(data: dict, name: str) -> str:
@@ -370,16 +402,14 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
             raise ConfigError(
                 f"field '{name}[{i}]' must be an object with 'share' and {value_key!r}"
             )
-        share = _require_real(f"{name}[{i}].share", item["share"])
-        if not 0.0 < float(share) <= 1.0:
+        share = require_number(item["share"], f"field '{name}[{i}].share'", ConfigError)
+        if not 0.0 < share <= 1.0:
             raise ConfigError(f"field '{name}[{i}].share' must lie in (0, 1], got {share!r}")
         value = item[value_key]
         if not isinstance(value, str) or not value.strip():
             raise ConfigError(f"field '{name}[{i}].{value_key}' must be a non-empty string")
-        mix.append((float(share), value.strip()))
-    total = math.fsum(share for share, _ in mix)
-    if abs(total - 1.0) > SHARE_SUM_TOL:
-        raise ConfigError(f"shares of field {name!r} sum to {total!r}, expected 1.0")
+        mix.append((share, value.strip()))
+    check_weights([share for share, _ in mix], f"shares of field {name!r}", ConfigError)
     return tuple(mix)
 
 

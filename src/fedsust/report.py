@@ -20,10 +20,10 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__
-from .config import FederationConfig, config_digest, read_json
+from .config import FederationConfig, check_weights, config_digest, read_json, require_number
 # hash_client_id is unused here; bench/tracer.py patches report.hash_client_id
 from .fedsim import ClientTable, FederationState, SelectionCounts, hash_client_id  # noqa: F401
-from .scoring import KIND_METRIC, WEIGHT_SUM_TOL, ScoreError, ScoreNode, trust_score
+from .scoring import KIND_METRIC, ScoreError, ScoreNode, trust_score
 
 __all__ = [
     "EXTERNAL_PILLAR_IDS",
@@ -108,36 +108,26 @@ def resolve_pillar_value(value, pillar: str) -> float:
     averaged (equal weights unless given) so the pillar keeps full precision
     instead of a pre-rounded number.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _number(value, f"pillar {pillar!r}")
-    if isinstance(value, dict) and "notions" in value:
-        notions = value["notions"]
-        if not isinstance(notions, dict) or not notions:
-            raise ScoreError(f"pillar {pillar!r}: 'notions' must be a non-empty object")
-        names = sorted(notions)
-        weights_map = value.get("weights") or {}
-        if not isinstance(weights_map, dict):
-            raise ScoreError(f"pillar {pillar!r}: 'weights' must be an object")
-        if weights_map:
-            missing = sorted(set(names) - set(weights_map))
-            if missing:
-                raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(missing)}")
-            weights = [_number(weights_map[n], f"pillar {pillar!r}: weight of {n!r}") for n in names]
-        else:
-            weights = [1.0 / len(names)] * len(names)
-        return trust_score([_number(notions[n], f"pillar {pillar!r}: notion {n!r}") for n in names],
-                           weights)
-    raise ScoreError(f"pillar {pillar!r}: expected a number or an object with 'notions'")
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number that fits one, else a ScoreError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ScoreError(f"{what} is too large for a float") from None
-    raise ScoreError(f"{what} must be a number, got {value!r}")
+    if not isinstance(value, dict):
+        return require_number(value, f"pillar {pillar!r}", ScoreError)
+    notions = value.get("notions")
+    if not isinstance(notions, dict) or not notions:
+        raise ScoreError(f"pillar {pillar!r}: 'notions' must be a non-empty object")
+    names = sorted(notions)
+    weights_map = value.get("weights") or {}
+    if not isinstance(weights_map, dict):
+        raise ScoreError(f"pillar {pillar!r}: 'weights' must be an object")
+    if weights_map:
+        missing = sorted(set(names) - set(weights_map))
+        if missing:
+            raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(missing)}")
+        weights = [require_number(weights_map[n], f"pillar {pillar!r}: weight of {n!r}", ScoreError)
+                   for n in names]
+        check_weights(weights, f"pillar {pillar!r}: notion weights", ScoreError)
+    else:
+        weights = [1.0 / len(names)] * len(names)
+    return trust_score([require_number(notions[n], f"pillar {pillar!r}: notion {n!r}", ScoreError)
+                        for n in names], weights)
 
 
 def load_pillar_fixture(path: str | Path) -> dict[str, float]:
@@ -239,7 +229,7 @@ def build_trust_report(
     root trust score is the weighted mean over them plus the computed
     sustainability pillar, with equal weights unless a weight file's
     ``pillar_weights`` are given. Those must cover the pillars present and
-    sum to 1 over them (``math.fsum`` within ``WEIGHT_SUM_TOL``), or are
+    sum to 1 over them (:func:`~fedsust.config.check_weights`), or are
     renormalized with ``allow_partial``. Without externals ``trust`` is
     ``null``: a single computed pillar is not presented as a federation-wide
     trust score.
@@ -287,15 +277,9 @@ def build_trust_report(
             missing = [p for p in ordered if p not in pillar_weights]
             if missing:
                 raise ScoreError(f"weight file lacks pillar weights for: {', '.join(missing)}")
-            weights = [float(pillar_weights[p]) for p in ordered]
-            total = math.fsum(weights)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                if not allow_partial:
-                    raise ScoreError(f"pillar weights for {', '.join(ordered)} sum to {total!r}; "
-                                     "pass --allow-partial to renormalize")
-                if total <= 0.0:
-                    raise ScoreError("pillar weights sum to zero; cannot renormalize")
-                weights = [w / total for w in weights]
+            weights = check_weights([float(pillar_weights[p]) for p in ordered],
+                                    f"pillar weights for {', '.join(ordered)}", ScoreError,
+                                    renormalize=allow_partial)
         root = trust_score([pillars[p]["score_raw"] for p in ordered], weights)
         trust = {
             "score": display_score(root),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .config import read_json
+from .config import check_weights, read_json, require_number
 
 __all__ = [
     "CARBON_INTENSITY_RULE",
@@ -56,8 +56,6 @@ __all__ = [
     "normalize_selection_rate",
     "trust_score",
 ]
-
-WEIGHT_SUM_TOL = 1e-9
 
 KIND_METRIC = "metric"
 KIND_NOTION = "notion"
@@ -280,11 +278,7 @@ def _score(node: ScoreNode, overrides: dict[str, float], allow_partial: bool, to
     if not node.children:
         raise ScoreError(f"{node.kind} node {node.id!r} has no children")
 
-    total_weight = math.fsum(child.weight for child in node.children)
-    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
-        raise ScoreError(
-            f"child weights of {node.id!r} sum to {total_weight!r}, expected 1.0"
-        )
+    check_weights([child.weight for child in node.children], f"child weights of {node.id!r}", ScoreError)
 
     kids = [_score(child, overrides, allow_partial, tolerant or pinned) for child in node.children]
     out = replace(node)
@@ -323,15 +317,7 @@ def trust_score(pillar_scores: list[float], weights: list[float]) -> float:
         )
     if not pillar_scores:
         raise ScoreError("trust score needs at least one pillar")
-    non_finite = [f"{w!r} at position {i}" for i, w in enumerate(weights) if not math.isfinite(w)]
-    if non_finite:
-        raise ScoreError(f"pillar weights must be finite, got {', '.join(non_finite)}")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ScoreError(f"pillar weights sum to {total!r}, expected 1.0")
-    for w in weights:
-        if w < 0.0:
-            raise ScoreError(f"pillar weight {w} is negative")
+    check_weights(weights, "pillar weights", ScoreError)
     for s in pillar_scores:
         s = _require_finite(s, "pillar score")
         if not 0.0 <= s <= 1.0:
@@ -351,12 +337,7 @@ def load_weight_config(path) -> dict[str, float]:
     for key, value in data.items():
         if not isinstance(key, str):
             raise ScoreError(f"weight file {path}: non-string key {key!r}")
-        try:
-            w = float(value)
-        except (TypeError, ValueError):
-            raise ScoreError(f"weight file {path}: weight for {key!r} is not a number") from None
-        except OverflowError:
-            raise ScoreError(f"weight file {path}: weight for {key!r} is too large for a float") from None
+        w = require_number(value, f"weight file {path}: weight for {key!r}", ScoreError)
         if w < 0.0 or not math.isfinite(w):
             raise ScoreError(f"weight file {path}: weight for {key!r} must be >= 0 and finite")
         weights[key] = w
@@ -373,12 +354,8 @@ def apply_weights(node: ScoreNode, weights: dict[str, float]) -> ScoreNode:
     out = _reweight(node, weights)
     for parent in out.walk():
         if parent.children:
-            total = math.fsum(child.weight for child in parent.children)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                raise ScoreError(
-                    f"after applying weight config, children of {parent.id!r} "
-                    f"sum to {total!r}, expected 1.0"
-                )
+            check_weights([child.weight for child in parent.children],
+                          f"after applying weight config, child weights of {parent.id!r}", ScoreError)
     return out
 
 

@@ -1,9 +1,12 @@
 """Tests for the command-line interface: commands, exit codes, outputs."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -461,6 +464,66 @@ class TestValidate:
         assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
         assert "sustainability.carbon_intensity" in err and "too large" in err
 
+    @pytest.mark.parametrize("bad", [" 0.6 ", "2e-1", True], ids=["padded", "exponent", "true"])
+    def test_weight_that_is_not_a_json_number_is_a_validation_error(self, capsys, tmp_path, uc, bad):
+        p = tmp_path / "w.json"
+        p.write_text(json.dumps({"sustainability.carbon_intensity": bad,
+                                 "sustainability.hardware_efficiency": 0.0 if bad is True else 0.2,
+                                 "sustainability.federation_complexity": 0.0 if bad is True else 0.2}))
+        for command in ("validate", "score"):
+            code, out, err = run(capsys, command, "--config", uc("uc_a"), "--weights", str(p),
+                                 "--out", str(tmp_path / "out"))
+            assert code == 1, command
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), command
+            assert "'sustainability.carbon_intensity' must be a number" in err
+            assert "ok" not in out
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["config", "weights", "pillars"])
+    def test_numeric_string_is_rejected_alike_in_every_input_file(self, capsys, tmp_path, uc, kind):
+        data = json.loads(open(uc("uc_a")).read())
+        content, key = {
+            "config": (dict(data, selection_rate="0.5"), "'selection_rate'"),
+            "weights": ({"sustainability.carbon_intensity": "0.5",
+                         "sustainability.hardware_efficiency": 0.25,
+                         "sustainability.federation_complexity": 0.25}, "'sustainability.carbon_intensity'"),
+            "pillars": ({"pillars": {"privacy": "0.5"}}, "'privacy'"),
+        }[kind]
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(content))
+        argv = ["--config", str(p)] if kind == "config" else ["--config", uc("uc_a"), f"--{kind}", str(p)]
+        code, out, err = run(capsys, "score", *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+        assert f"{key} must be a number, got '0.5'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clients, accepted", [(10**4, True), (10**4 + 1, False)])
+    def test_label_cells_ceiling(self, capsys, tmp_path, uc, clients, accepted):
+        # num_clients x num_label_classes <= 10**7; simulate is never run above it
+        data = json.loads(open(uc("uc_a")).read())
+        data["num_clients"], data["num_label_classes"] = clients, 1000
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--config", str(p))
+        if accepted:
+            assert code == 0 and not err and "ok" in out
+        else:
+            assert code == 1 and "ok" not in out
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+            assert "num_clients" in err and "num_label_classes" in err and "10000000" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_seed_flag_out_of_range_is_a_validation_error(self, capsys, tmp_path, uc, command, seed):
+        code, out, err = run(capsys, command, "--config", uc("uc_a"), "--seed", seed,
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+        assert "'seed'" in err and seed in err
+        assert "ok" not in out
+        assert not (tmp_path / "out").exists()
+
 
 # ── score ─────────────────────────────────────────────────────────────────
 
@@ -554,6 +617,60 @@ class TestScore:
         written = "comparison.json" if command == "compare" else "trust_report.json"
         digest = hashlib.sha256((tmp_path / "out" / written).read_bytes()).hexdigest()
         assert digest == self._TRUST_PATH_PINNED[case]
+
+    # every place a group of weights or shares is read; each must sum to 1 within 1e-9
+    _WEIGHT_GROUPS = ("tree-weights", "pillar-weights", "pillar-weights-partial", "notion-weights",
+                      "mix-shares")
+
+    @pytest.mark.parametrize("offset", [5e-10, -5e-10, 2e-9, -2e-9])
+    @pytest.mark.parametrize("group", _WEIGHT_GROUPS)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=5)
+    @given(parts=st.lists(st.integers(1, 9), min_size=7, max_size=7))
+    def test_weight_sum_tolerance_boundary(self, tmp_path_factory, scenario_dir, pillar_dir, group,
+                                           offset, parts):
+        base = tmp_path_factory.mktemp("tolerance")
+        size = {"tree-weights": 3, "mix-shares": len(_HARDWARE)}.get(group, 7)
+        head = [part / sum(parts[:size]) for part in parts[:size - 1]]
+        weights = head + [(1.0 + offset) - math.fsum(head)]  # math.fsum(weights) == 1 + offset
+        config, pillars = scenario_dir / "proposal_b.json", pillar_dir / "proposal_b_pillars.json"
+        if group == "tree-weights":
+            notions = ("carbon_intensity", "federation_complexity", "hardware_efficiency")
+            payload = {f"sustainability.{n}": w for n, w in zip(notions, weights)}
+            (base / "w.json").write_text(json.dumps(payload))
+            argv = ["--weights", str(base / "w.json")]
+        elif group.startswith("pillar-weights"):
+            pillar_ids = ("accountability", "explainability", "fairness", "federation", "privacy",
+                          "robustness", "sustainability")
+            (base / "w.json").write_text(json.dumps(dict(zip(pillar_ids, weights))))
+            argv = ["--pillars", str(pillars), "--weights", str(base / "w.json")]
+            argv += ["--allow-partial"] if group.endswith("partial") else []
+        elif group == "notion-weights":
+            notions = {f"n{i}": i / 7 for i in range(7)}
+            (base / "p.json").write_text(json.dumps(
+                {"pillars": {"privacy": {"notions": notions, "weights": dict(zip(notions, weights))}}}))
+            argv = ["--pillars", str(base / "p.json")]
+        else:
+            scenario = json.loads((scenario_dir / "uc_a.json").read_text())
+            scenario["client_hardware"] = [{"share": w, "model": m} for w, m in zip(weights, _HARDWARE)]
+            config = base / "x.json"
+            config.write_text(json.dumps(scenario))
+            argv = []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["score", "--config", str(config), *argv, "--out", str(base / "out")])
+        within = abs(offset) < 1e-9
+        if group == "pillar-weights-partial":
+            assert code == 0
+            report = json.loads((base / "out" / "trust_report.json").read_text())
+            total = math.fsum(weights)
+            expected = weights if within else [w / total for w in weights]
+            assert list(report["trust"]["pillar_weights"].values()) == expected
+        else:
+            assert code == (0 if within else 1)
+            named = {"tree-weights": "'sustainability'", "notion-weights": "'privacy'",
+                     "mix-shares": "'client_hardware'"}.get(group, "pillar weights")
+            assert within or (err.getvalue().startswith("error: validation:") and named in err.getvalue()
+                              and "expected 1.0" in err.getvalue())
 
     def test_allow_partial_renormalizes_missing_pillar(self, capsys, tmp_path, uc, pillar_dir):
         fixture = json.loads((pillar_dir / "proposal_b_pillars.json").read_text())
