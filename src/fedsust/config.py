@@ -270,8 +270,8 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         model_size=model_size,
         client_hardware=_parse_mix(data, "client_hardware", "model", num_clients),
         client_locations=_parse_mix(data, "client_locations", "location", num_clients),
-        server_hardware=_str_field(data, "server_hardware"),
-        server_location=_str_field(data, "server_location"),
+        server_hardware=_nonblank(data.get("server_hardware"), "server_hardware"),
+        server_location=_nonblank(data.get("server_location"), "server_location"),
         seed=seed,
         energy_model=energy,
         score_overrides=score_overrides,
@@ -371,10 +371,10 @@ def check_seed(seed) -> int:
     return seed
 
 
-def _str_field(data: dict, name: str) -> str:
-    value = data.get(name)
+def _nonblank(value, field: str) -> str:
+    """``value`` stripped, if it is a string that is not blank; else a ConfigError naming ``field``."""
     if not isinstance(value, str) or not value.strip():
-        raise ConfigError(f"field {name!r} must be a non-empty string")
+        raise ConfigError(f"field '{field}' must be a non-empty string")
     return value.strip()
 
 
@@ -383,7 +383,7 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
     if raw is None:
         raise ConfigError(f"field {name!r} is required")
     if isinstance(raw, str):
-        return ((1.0, raw.strip()),)
+        return ((1.0, _nonblank(raw, name)),)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"field {name!r} must be a string or a non-empty list")
     if all(isinstance(item, str) for item in raw):
@@ -393,8 +393,9 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
                 f"field {name!r} lists {len(raw)} clients but 'num_clients' is {num_clients}"
             )
         counts: dict[str, int] = {}
-        for item in raw:
-            counts[item.strip()] = counts.get(item.strip(), 0) + 1
+        for i, item in enumerate(raw):
+            value = _nonblank(item, f"{name}[{i}]")
+            counts[value] = counts.get(value, 0) + 1
         return tuple((count / num_clients, value) for value, count in counts.items())
     mix: list[tuple[float, str]] = []
     for i, item in enumerate(raw):
@@ -405,10 +406,7 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
         share = require_number(item["share"], f"field '{name}[{i}].share'", ConfigError)
         if not 0.0 < share <= 1.0:
             raise ConfigError(f"field '{name}[{i}].share' must lie in (0, 1], got {share!r}")
-        value = item[value_key]
-        if not isinstance(value, str) or not value.strip():
-            raise ConfigError(f"field '{name}[{i}].{value_key}' must be a non-empty string")
-        mix.append((share, value.strip()))
+        mix.append((share, _nonblank(item[value_key], f"{name}[{i}].{value_key}")))
     check_weights([share for share, _ in mix], f"shares of field {name!r}", ConfigError)
     return tuple(mix)
 

@@ -166,6 +166,7 @@ class EmissionsLog:
         self._last_key: tuple = ()  # sort key of the last row logged
         self._ordered = True  # whether every block continued CSV order
         self._tallied: tuple = (-1, None)  # (blocks tallied, tally)
+        self._last_round: tuple = (None,)  # the last add_round's (clients, nodes, in CSV order)
 
     def _node(self, role: str, node_id: str, rows: tuple) -> int:
         self._roles.append(role)
@@ -188,19 +189,33 @@ class EmissionsLog:
         """Log round ``round_index``: the rows of each client in ``clients``, distinct
         indices into ``node_ids``, in that order, then the server row. Given in
         node-id order, as the simulator gives them, the rows need no sort to be
-        written as CSV."""
+        written as CSV. Clients equal to the last round's reuse its block, so a
+        block repeated round after round is checked and stored once."""
         if round_index < 0:
             raise EmissionsError(f"round must be >= 0, got {round_index}")
-        ids = list(map(self._node_ids.__getitem__, clients))
-        # strictly: a repeated client or a node id collision would interleave rows
-        self._log(round_index, (*clients, self._server), all(map(operator.lt, ids, ids[1:])))
+        clients = tuple(clients)
+        if clients != self._last_round[0]:
+            ids = list(map(self._node_ids.__getitem__, clients))
+            # strictly: a repeated client or a node id collision would interleave rows
+            self._last_round = (clients, (*clients, self._server), all(map(operator.lt, ids, ids[1:])))
+        self._log(round_index, *self._last_round[1:])
+
+    def times_logged(self) -> list[int]:
+        """The blocks each node is in, by node index; client ``c``'s node index is ``c``."""
+        times = [0] * len(self._rows)
+        for node, count in self._tally()[0].items():
+            times[node] = count
+        return times
 
     def _tally(self) -> tuple[Counter, list[tuple[str, tuple, int]]]:
         """``(logged, priced)``: the blocks each logged node is in, and each distinct
-        ``(role, priced row, times logged)``; counted again only after new blocks."""
+        ``(role, priced row, times logged)``; counted again only after new blocks.
+        A block logged more than once is counted once, times its repeats."""
         if self._tallied[0] != len(self._blocks):
+            logged = Counter()
+            for nodes, times in Counter(nodes for _, nodes in self._blocks).items():
+                logged.update(nodes if times == 1 else {n: k * times for n, k in Counter(nodes).items()})
             priced: dict[tuple, list] = {}
-            logged = Counter(chain.from_iterable(nodes for _, nodes in self._blocks))
             for node, times in logged.items():
                 role = self._roles[node]
                 for row in self._rows[node]:

@@ -49,7 +49,9 @@ Every client is hashed once per run, by :func:`hash_client_id` under
 the factsheet. Per-client data is held in columns, one row per client index,
 by :class:`ClientTable`; the factsheet's writer formats each client's entry
 from those columns, and :class:`SelectionCounts` reads them as a mapping
-from node id to rounds drawn.
+from node id to rounds drawn. The node ids are sorted once per run, for the
+factsheet and for the rounds, which draw node-id ranks; each client's rounds
+drawn are counted once, from the emissions log.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -140,6 +142,20 @@ class SelectionStream:
         return self.take(1)[0]
 
 
+def _draw(arrangement: list[int], sample_size: int, stream: SelectionStream) -> list[int]:
+    """The values at the first ``sample_size`` positions of ``arrangement`` after the
+    documented partial Fisher-Yates swaps, made in place and undone before returning."""
+    n, targets = len(arrangement), []
+    for i, word in enumerate(stream.take(sample_size)):
+        j = i + word % (n - i)
+        arrangement[i], arrangement[j] = arrangement[j], arrangement[i]
+        targets.append(j)
+    picked = arrangement[:sample_size]
+    for i, j in zip(range(sample_size - 1, -1, -1), reversed(targets)):
+        arrangement[i], arrangement[j] = arrangement[j], arrangement[i]
+    return picked
+
+
 def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) -> tuple[int, ...]:
     """Draw a uniform ``sample_size``-subset of ``range(num_clients)``, sorted.
 
@@ -151,14 +167,7 @@ def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) 
         )
     if sample_size == num_clients:
         return tuple(range(num_clients))
-    # Only displaced positions are stored; position i is never read after step i.
-    swapped: dict[int, int] = {}
-    picked = []
-    for i, word in enumerate(stream.take(sample_size)):
-        j = i + word % (num_clients - i)
-        picked.append(swapped.get(j, j))
-        swapped[j] = swapped.get(i, i)
-    return tuple(sorted(picked))
+    return tuple(sorted(_draw(list(range(num_clients)), sample_size, stream)))
 
 
 def aggregate_model(updates) -> np.ndarray:
@@ -254,7 +263,8 @@ class ClientTable:
 
     ``node_ids[c]`` is the client's salted hash, ``counts[c]`` the rounds it
     was drawn in, and ``class_counts[c, j]`` its samples of class ``j``,
-    whose salted hash is ``labels[j]``. With the run's ``rounds``,
+    whose salted hash is ``labels[j]``; ``node_order`` lists the rows sorted
+    by node id, the factsheet's order. With the run's ``rounds``,
     ``dataset_size`` and per-round ``train_s`` these determine the client's
     factsheet entry: ``participation_rate`` is ``counts[c] / rounds``, and
     ``avg_training_time_s`` is ``train_s`` summed ``counts[c]`` times and
@@ -262,6 +272,7 @@ class ClientTable:
     """
 
     node_ids: list[str]
+    node_order: list[int]
     counts: list[int]
     class_counts: np.ndarray
     labels: list[str]
@@ -276,11 +287,6 @@ class ClientTable:
     def row_of(self) -> dict[str, int]:
         """Node id -> row, built on first use."""
         return {node_id: c for c, node_id in enumerate(self.node_ids)}
-
-    @cached_property
-    def node_order(self) -> list[int]:
-        """The rows sorted by node id, the factsheet's order."""
-        return sorted(range(len(self.node_ids)), key=self.node_ids.__getitem__)
 
 
 class SelectionCounts(Mapping):
@@ -434,10 +440,13 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ``prices`` is :func:`price_fleet`'s result for ``config``, priced from
     ``tables`` when absent; pricing resolves each mix entry once, so an
     unresolvable entry fails even when no client gets it. Set-up hashes every
-    client once, and each round is logged as one block, its clients in
-    node-id order. Label splits are drawn for the whole fleet in one batch,
-    and each class label is hashed once per run. Every random draw is addressed by the seed and a round or
-    client index, so results depend on nothing but ``(config, seed)``.
+    client once and sorts the node ids once. A round draws node-id ranks, as
+    :func:`sample_clients` draws indices, and logs them sorted and mapped back
+    to clients; at full participation every round logs one shared block. The
+    selection counts are read from the log. Label splits are drawn for the
+    whole fleet in one batch, and each class label is hashed once per run.
+    Every random draw is addressed by the seed and a round or client index,
+    so results depend on nothing but ``(config, seed)``.
     """
     if prices is None:
         prices = price_fleet(config, tables or ReferenceTables.load())
@@ -451,7 +460,6 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
     node_ids = [hash_client_id(salt, c) for c in range(n)]
     log = EmissionsLog(node_ids, [prices.client_rows[pair] for pair in pairs], prices.server_row)
-    selection_counts = [0] * n
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]
@@ -461,13 +469,17 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         hashed: total for hashed, total in zip(hashed_labels, label_counts.sum(axis=0).tolist()) if total
     }
 
+    order = sorted(range(n), key=node_ids.__getitem__)  # stable: colliding ids keep index order
+    ranks = [0] * n  # client -> node-id rank; the sampler swaps this list and restores it
+    for r, c in enumerate(order):
+        ranks[c] = r
+    block = tuple(order) if m == n else None  # a full draw: every round's block, no words read
     for t in range(1, rounds + 1):
-        selected = sample_clients(n, m, SelectionStream(seed, t))
-        for client in selected:
-            selection_counts[client] += 1
-        log.add_round(t, sorted(selected, key=node_ids.__getitem__))
+        if m < n:
+            block = list(map(order.__getitem__, sorted(_draw(ranks, m, SelectionStream(seed, t)))))
+        log.add_round(t, block)
 
-    clients = ClientTable(node_ids, selection_counts, label_counts, hashed_labels,
+    clients = ClientTable(node_ids, order, log.times_logged()[:n], label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,
                            clients=clients)

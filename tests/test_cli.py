@@ -196,6 +196,23 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error: reference-data:")
 
+    @pytest.mark.parametrize("form", ["string", "list", "share"])
+    @pytest.mark.parametrize("field, key", [("client_hardware", "model"), ("client_locations", "location")])
+    def test_blank_mix_value_is_a_validation_error(self, capsys, tmp_path, uc, field, key, form):
+        # one rule for the three forms of a mix: a blank value is named, with its index in a list
+        data = json.loads(open(uc("uc_a")).read())
+        good, n = data[field], data["num_clients"]
+        data[field], where = {
+            "string": ("  ", f"'{field}'"),
+            "list": ([good] * (n - 1) + [""], f"'{field}[{n - 1}]'"),
+            "share": ([{"share": 0.5, key: good}, {"share": 0.5, key: " "}], f"'{field}[1].{key}'"),
+        }[form]
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--config", str(p))
+        assert code == 1 and "ok" not in out
+        assert err == f"error: validation: field {where} must be a non-empty string\n"
+
     def test_validate_score_accept_the_same_configs(self, capsys, tmp_path, uc):
         # shared validator: whatever validate takes, score takes, and vice versa
         cases = []
@@ -761,14 +778,17 @@ class TestSimulate:
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
-    # A wide fleet where most clients are never drawn, and a small long run whose
+    # A wide fleet where most clients are never drawn, a small long run whose
     # rows hold zero counts (dataset_size < num_label_classes) and whose repeated
-    # training-time sums differ from the single duration.
+    # training-time sums differ from the single duration, and a full-participation
+    # run (sample_size = num_clients), whose rounds all draw every client.
     _WIDE_FLEETS = {
         "wide": dict(num_clients=5000, sample_size=10, total_rounds=20, dataset_size=500,
                      num_label_classes=10, local_rounds=2, model_size=1_600_000, seed=11),
         "zero_counts": dict(num_clients=200, sample_size=9, total_rounds=100, dataset_size=5,
                             num_label_classes=12, local_rounds=3, model_size=98_765, seed=2**63 + 5),
+        "full": dict(num_clients=40, sample_size=40, total_rounds=25, dataset_size=64,
+                     num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 9),
     }
     _WIDE_PINNED = {
         "wide": {
@@ -780,6 +800,11 @@ class TestSimulate:
             "trust_report.json": "f1196cb1113d3cb7d529cafa83d1ca52159d1f31fb229b37b6ca0fcfa9f44f0d",
             "factsheet.json": "539f533c6daa60bdf30c125fdc8fd7820bc074150e3533d1c663061e757a8bde",
             "emissions.csv": "eaf0ef7136fda7d85b40dc7715ada412a39e10c8f53a008afa61a67f99ad469e",
+        },
+        "full": {
+            "trust_report.json": "aac26a3217f2b3cffe30f6ce3f44efeb771c353316b2d90f71df84185112ce66",
+            "factsheet.json": "9753b95d606fd1ef33eaa386fb204ac65bd17139f7a0711f7a6762c12e63f80f",
+            "emissions.csv": "2e9a871d87c283d1642c98fb0081efb43f4616c35e71431f3595191e7703e755",
         },
     }
 

@@ -18,7 +18,8 @@ from fedsust.emissions import (
     estimate_energy,
     track_phase,
 )
-from fedsust.fedsim import run_federation
+from fedsust import fedsim
+from fedsust.fedsim import SelectionStream, run_federation, sample_clients
 from fedsust.refdata import HardwareProfile
 
 
@@ -188,6 +189,31 @@ class TestEmissionsLog:
                 assert log.sorted_records() == added.sorted_records()
                 assert log.total_co2eq_g() == added.total_co2eq_g()
 
+    def test_repeated_rounds_share_a_block_and_count_alike(self):
+        # clients equal to the last round's share its block, counted once times its repeats;
+        # a client listed twice in a round is counted twice, as one add() per row counts it
+        training = ("training", 2.5, 0.125, 32.0, 4.0)
+        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
+        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
+        node_ids = ["b7", "0c", "e1"]
+        full = (1, 0, 2)  # node-id order
+        rounds = [(t, full) for t in range(1, 5)] + [(5, [0, 0, 2]), (6, [0, 0, 2]), (7, [2])]
+        log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
+        for t, clients in rounds:
+            log.add_round(t, clients)
+            for c in clients:
+                for row in client_rows[c]:
+                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
+        assert len({id(nodes) for _, nodes in log._blocks}) == 3
+        assert log.times_logged() == [8, 4, 7, 7]
+        assert log.to_csv_bytes() == added.to_csv_bytes()
+        assert len(log) == len(added)
+        assert log.total_energy_kwh() == added.total_energy_kwh()
+        assert log.total_co2eq_g() == added.total_co2eq_g()
+        for key in ("phase", "role"):
+            assert log.co2eq_by(key) == added.co2eq_by(key)
+
     def test_field_name_and_callable_keys_group_alike(self):
         log = random_log(17)
         for name in ("round", "role", "node_id", "phase"):
@@ -242,10 +268,8 @@ def small_fleets(draw):
     })
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(config=small_fleets())
-def test_round_blocks_match_a_row_by_row_reference(tables, config):
-    log = run_federation(config, tables).emissions
+def check_against_row_reference(log, config):
+    """Every view of ``log`` against one built row by row from its expanded records."""
     rows = [tuple(getattr(record, name) for name in ROW_FIELDS) for record in log.records]
     per_client = 2 if config.energy_model.comm_energy_per_byte > 0 else 1
     assert len(rows) == config.total_rounds * (config.sample_size * per_client + 1)
@@ -263,3 +287,29 @@ def test_round_blocks_match_a_row_by_row_reference(tables, config):
             k: math.fsum(row[7] for row in rows if row[column] == k) for k in groups
         }
     assert log.running_totals() == (sum(row[5] for row in rows), sum(row[7] for row in rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(config=small_fleets())
+def test_round_blocks_match_a_row_by_row_reference(tables, config):
+    check_against_row_reference(run_federation(config, tables).emissions, config)
+
+
+@pytest.mark.parametrize("clients, drawn, rounds", [(8, 3, 40), (6, 6, 5)])
+def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, clients, drawn, rounds):
+    # clients 2 and 5 share a node id, so a round drawing both is logged out of CSV order
+    config = parse_config({
+        "name": "collide", "num_clients": clients, "total_rounds": rounds, "sample_size": drawn,
+        "local_rounds": 1, "dataset_size": 50, "model_size": 10**5, "seed": 21,
+        "client_hardware": [{"share": 0.5, "model": _HARDWARE[0]}, {"share": 0.5, "model": _HARDWARE[1]}],
+        "client_locations": "ch", "server_hardware": _HARDWARE[2], "server_location": "ZA",
+        "energy_model": {"comm_energy_per_byte": 1e-12},
+    })
+    original = fedsim.hash_client_id
+    monkeypatch.setattr(fedsim, "hash_client_id", lambda salt, c: original(salt, 2 if c == 5 else c))
+    state = run_federation(config, tables)
+    assert len(set(state.clients.node_ids)) == clients - 1
+    draws = [set(sample_clients(clients, drawn, SelectionStream(21, t))) for t in range(1, rounds + 1)]
+    assert any({2, 5} <= draw for draw in draws)
+    check_against_row_reference(state.emissions, config)
+    assert state.clients.counts == [sum(c in draw for draw in draws) for c in range(clients)]

@@ -16,6 +16,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsust import fedsim
 from fedsust.config import ConfigError, parse_config
@@ -365,6 +367,23 @@ class TestRunFederation:
         node_ids = {r.node_id for r in state.emissions.records if r.role == "client"}
         assert len(node_ids) == 12
         assert set(state.selection_counts) == set(state.clients.node_ids) == node_ids
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 40), share=st.floats(0, 1), rounds=st.integers(1, 6),
+           seed=st.integers(0, 2**64 - 1), full=st.booleans())
+    def test_each_round_logs_its_sampled_clients_in_node_id_order(self, tables, n, share, rounds, seed, full):
+        m = n if full else max(1, round(share * n))
+        state = run_federation(make_config(num_clients=n, sample_size=m, total_rounds=rounds, seed=seed),
+                               tables)
+        node_ids = state.clients.node_ids
+        logged = {t: [] for t in range(1, rounds + 1)}
+        for record in state.emissions.records:
+            if record.role == "client":
+                logged[record.round].append(node_ids.index(record.node_id))
+        drawn = [sample_clients(n, m, SelectionStream(seed, t)) for t in range(1, rounds + 1)]
+        assert [logged[t] for t in range(1, rounds + 1)] == \
+            [sorted(clients, key=node_ids.__getitem__) for clients in drawn]
+        assert state.clients.counts == [sum(c in clients for clients in drawn) for c in range(n)]
 
     def test_huge_model_size_prices_finite_rows(self, tables):
         config = make_config(num_clients=6, sample_size=3, total_rounds=50, model_size=10**9,
