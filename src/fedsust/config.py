@@ -59,8 +59,8 @@ MAX_LABEL_CLASSES = 1000
 # per-client lists and works per round
 MAX_CLIENTS = 10**6
 MAX_ROUNDS = 10**6
-# simulate's num_clients x num_label_classes label synthesis peaks near 63 bytes a cell:
-# MAX_CLIENTS clients at the default 10 classes, about 630 MB
+# simulate's num_clients x num_label_classes label array takes 8 bytes a cell, drawn in blocks
+# of a few MB: MAX_CLIENTS clients at the default 10 classes, about 80 MB
 MAX_LABEL_CELLS = MAX_CLIENTS * 10
 # the size anchors of the complexity score stop at 10^10 samples; above ~10^16 the
 # float64 label split of simulate no longer sums to dataset_size, and at 2^63 it overflows

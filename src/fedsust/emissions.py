@@ -144,6 +144,10 @@ class EmissionsLog:
     :func:`estimate_energy` and :func:`energy_to_co2`. :meth:`add_round` logs
     a round as its index and its drawn clients: each client's rows, then the
     server row. :meth:`add` logs one validated record as a one-row block.
+    Whether the client node ids strictly ascend is learned once, when the log
+    is made: then a round given in ascending node indices is in CSV order, and
+    otherwise (ids out of order, or two clients sharing an id) the CSV is
+    sorted.
 
     The length, the totals and ``co2eq_by("phase" | "role")`` come from each
     distinct priced row and the number of times it was logged: ``math.fsum``
@@ -161,10 +165,12 @@ class EmissionsLog:
         self._roles = ["client"] * len(node_ids)
         self._node_ids = list(node_ids)
         self._rows = list(client_rows)
+        # whether every block continued CSV order; a round's clients can do so only when
+        # the client node ids strictly ascend, which is learned here, once
+        self._ordered = all(map(operator.lt, self._node_ids, self._node_ids[1:]))
         self._server = None if server_row is None else self._node("server", "server", (server_row,))
         self._blocks: list[tuple[int, tuple[int, ...]]] = []  # (round, nodes)
         self._last_key: tuple = ()  # sort key of the last row logged
-        self._ordered = True  # whether every block continued CSV order
         self._tallied: tuple = (-1, None)  # (blocks tallied, tally)
         self._last_round: tuple = (None,)  # the last add_round's (clients, nodes, in CSV order)
 
@@ -188,16 +194,18 @@ class EmissionsLog:
     def add_round(self, round_index: int, clients: Sequence[int]) -> None:
         """Log round ``round_index``: the rows of each client in ``clients``, distinct
         indices into ``node_ids``, in that order, then the server row. Given in
-        node-id order, as the simulator gives them, the rows need no sort to be
-        written as CSV. Clients equal to the last round's reuse its block, so a
-        block repeated round after round is checked and stored once."""
+        ascending order, as the simulator gives them, into strictly ascending
+        node ids, the rows need no sort to be written as CSV; the check compares
+        indices, not node ids. Clients equal to the last round's reuse its block,
+        so a block repeated round after round is checked and stored once."""
         if round_index < 0:
             raise EmissionsError(f"round must be >= 0, got {round_index}")
         clients = tuple(clients)
         if clients != self._last_round[0]:
-            ids = list(map(self._node_ids.__getitem__, clients))
-            # strictly: a repeated client or a node id collision would interleave rows
-            self._last_round = (clients, (*clients, self._server), all(map(operator.lt, ids, ids[1:])))
+            nodes = (*clients, self._server)
+            # client nodes strictly ascending, from 0 and below the server's index: a repeated
+            # client would interleave its rows
+            self._last_round = (clients, nodes, self._ordered and all(map(operator.lt, (-1, *nodes), nodes)))
         self._log(round_index, *self._last_round[1:])
 
     def times_logged(self) -> list[int]:

@@ -3,10 +3,10 @@
 No learning happens here. Each round the server draws a client subset, and
 every phase it would run is priced by the TDP-based emissions estimator:
 one training row per drawn client, a communication row when communication
-is priced, and one server aggregation row. Rounds run serially in one
-thread; every random draw is addressed by the seed and a round or client
-index rather than by call order, so outputs are bit-reproducible functions
-of ``(config, seed)``.
+is priced, and one server aggregation row. Rounds are drawn in batches and
+logged in order, in one thread; every random draw is addressed by the seed
+and a round or client index rather than by call order, so outputs are
+bit-reproducible functions of ``(config, seed)``.
 
 Client selection stream
 -----------------------
@@ -23,6 +23,16 @@ here so it can be reimplemented independently:
   positions ``i`` and ``i + (w mod (N - i))``; the first ``m`` positions,
   sorted ascending, are the selected clients (every client when ``m = N``).
 
+Every block is addressed by ``(seed, t, k)`` alone, so a run draws its
+rounds in batches without changing a word: one call makes the digests of a
+batch of rounds, hashing each round's ``tag || seed || t`` prefix once, and
+the batch's words are read as one big-endian ``uint64`` array. The swaps of
+every round in the batch are made together, in ``m`` vectorized steps, over
+compact per-round slots: positions ``0 .. m-1`` plus one slot per distinct
+swap target ``>= m``, so no round copies all ``N`` positions. A batch holds
+at most ``_BATCH_WORDS`` words (or one round's). :func:`sample_clients`
+runs the same kernel on one round's words, read from a
+:class:`SelectionStream`.
 Label stream
 ------------
 Synthetic label splits come from one run-wide Philox4x64-10 stream
@@ -49,9 +59,15 @@ Every client is hashed once per run, by :func:`hash_client_id` under
 the factsheet. Per-client data is held in columns, one row per client index,
 by :class:`ClientTable`; the factsheet's writer formats each client's entry
 from those columns, and :class:`SelectionCounts` reads them as a mapping
-from node id to rounds drawn. The node ids are sorted once per run, for the
-factsheet and for the rounds, which draw node-id ranks; each client's rounds
-drawn are counted once, from the emissions log.
+from node id to rounds drawn. The node ids are sorted once per run, by one
+stable argsort of their 8-byte values (16 lowercase hex characters sort as
+the big-endian integer they spell), for the factsheet and for the rounds.
+The run's emissions log holds the clients in that order, node ``r`` for the
+client of node-id rank ``r``, so a round's block is its drawn ranks sorted
+as integers, held as the shared int objects of the node order. The log
+checks once, when it is made, that its node ids strictly ascend, so a fleet
+whose ids collide writes its CSV sorted. Each client's rounds drawn are
+counted once, from the log.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -62,8 +78,11 @@ whose totals could: ``total_rounds x (sample_size x the largest client
 round + the server row)`` bounds the energy and CO2eq totals, and
 ``total_rounds x`` the training duration bounds each client's training time.
 
-numpy is imported only by the label stream and :func:`aggregate_model`, on
-first call, so the commands that never simulate do not load it.
+numpy is imported on first call by the simulator's functions (the rounds,
+the label stream and :func:`aggregate_model`), so the commands that never
+simulate do not load it. The label stream is drawn and rounded in row
+blocks of at most ``_LABEL_BLOCK_CELLS`` cells (or one row) into one result
+array.
 """
 
 from __future__ import annotations
@@ -114,6 +133,27 @@ class SimulationError(ValueError):
     """Invalid simulator input."""
 
 
+# Most stream words drawn at once: a batch of rounds holds at most this many (or one round).
+_BATCH_WORDS = 1 << 16
+
+
+def _digests(seed: int, rounds, blocks: range) -> bytes:
+    """The selection stream's blocks ``blocks`` of each round in ``rounds``, round by round.
+
+    The ``tag || seed || t`` prefix is hashed once per round and copied for each block.
+    """
+    head = _SAMPLE_TAG + seed.to_bytes(8, "big")
+    counters = [k.to_bytes(8, "big") for k in blocks]
+    digests = []
+    for t in rounds:
+        prefix = hashlib.sha256(head + t.to_bytes(8, "big"))
+        for counter in counters:
+            block = prefix.copy()
+            block.update(counter)
+            digests.append(block.digest())
+    return b"".join(digests)
+
+
 class SelectionStream:
     """Counter-based 64-bit word stream for one round's client draw."""
 
@@ -122,7 +162,8 @@ class SelectionStream:
             raise SimulationError(f"seed must be an unsigned 64-bit integer, got {seed}")
         if round_index < 0:
             raise SimulationError(f"round index must be >= 0, got {round_index}")
-        self._prefix = _SAMPLE_TAG + seed.to_bytes(8, "big") + round_index.to_bytes(8, "big")
+        self._seed = seed
+        self._round = round_index
         self._counter = 0
         self._words: list[int] = []  # the current block's unread words, in order
 
@@ -133,7 +174,7 @@ class SelectionStream:
         if len(words) < count:
             blocks = range(self._counter, self._counter + (count - len(words) + 3) // 4)
             self._counter = blocks.stop
-            digests = b"".join([hashlib.sha256(self._prefix + k.to_bytes(8, "big")).digest() for k in blocks])
+            digests = _digests(self._seed, (self._round,), blocks)
             words = [*words, *struct.unpack(f">{4 * len(blocks)}Q", digests)]
         self._words = words[count:]
         return words[:count]
@@ -142,18 +183,47 @@ class SelectionStream:
         return self.take(1)[0]
 
 
-def _draw(arrangement: list[int], sample_size: int, stream: SelectionStream) -> list[int]:
-    """The values at the first ``sample_size`` positions of ``arrangement`` after the
-    documented partial Fisher-Yates swaps, made in place and undone before returning."""
-    n, targets = len(arrangement), []
-    for i, word in enumerate(stream.take(sample_size)):
-        j = i + word % (n - i)
-        arrangement[i], arrangement[j] = arrangement[j], arrangement[i]
-        targets.append(j)
-    picked = arrangement[:sample_size]
-    for i, j in zip(range(sample_size - 1, -1, -1), reversed(targets)):
-        arrangement[i], arrangement[j] = arrangement[j], arrangement[i]
-    return picked
+def _draw_batch(words: np.ndarray, num_clients: int, relabel: np.ndarray | None = None) -> np.ndarray:
+    """Row ``b`` of the result is the documented partial Fisher-Yates draw made with row
+    ``b`` of the ``(rounds, m)`` word array: the values left at positions ``0 .. m-1`` of
+    ``[0, ..., num_clients - 1]``, mapped through ``relabel`` when given, sorted ascending.
+
+    All rounds are swapped together, in ``m`` vectorized steps over compact per-round
+    slots: a round's positions ``0 .. m-1``, then one slot per distinct swap target
+    ``>= m``, holding that position's value; no round copies the whole arrangement.
+    """
+    import numpy as np
+
+    rounds, m = words.shape
+    steps = np.arange(m, dtype=np.uint64)
+    targets = (steps + words % (np.uint64(num_clients) - steps)).astype(np.int64)
+    # round b's position i < m is slot b*m + i; its distinct targets >= m follow all of those
+    row = np.arange(rounds, dtype=np.int64)[:, None]
+    positions = row * m + np.arange(m)
+    slots = row * m + targets
+    beyond = targets >= m
+    distinct, inverse = np.unique((row * num_clients + targets)[beyond], return_inverse=True)
+    slots[beyond] = rounds * m + inverse
+    values = np.concatenate((np.tile(np.arange(m, dtype=np.int64), rounds), distinct % num_clients))
+    for i, j in zip(positions.T.copy(), slots.T.copy()):  # step i, every round at once
+        values[i], values[j] = values[j], values[i]
+    picked = values[:rounds * m].reshape(rounds, m)
+    return np.sort(picked if relabel is None else relabel[picked], axis=1)
+
+
+def _batches(seed: int, rounds: int, num_clients: int, sample_size: int,
+             relabel: np.ndarray | None = None):
+    """Yield ``(batch, drawn)``: consecutive ranges of rounds ``1 .. rounds`` and, row by
+    row, each round's draw as :func:`_draw_batch` gives it, holding at most
+    ``_BATCH_WORDS`` words (or one round's) at a time."""
+    import numpy as np
+
+    blocks = range((sample_size + 3) // 4)  # the stream blocks a round reads
+    per_batch = max(1, _BATCH_WORDS // (4 * len(blocks)))
+    for first in range(1, rounds + 1, per_batch):
+        batch = range(first, min(first + per_batch, rounds + 1))
+        words = np.frombuffer(_digests(seed, batch, blocks), dtype=">u8").reshape(len(batch), -1)
+        yield batch, _draw_batch(words[:, :sample_size], num_clients, relabel)
 
 
 def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) -> tuple[int, ...]:
@@ -167,7 +237,10 @@ def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) 
         )
     if sample_size == num_clients:
         return tuple(range(num_clients))
-    return tuple(sorted(_draw(list(range(num_clients)), sample_size, stream)))
+    import numpy as np
+
+    words = np.array(stream.take(sample_size), dtype=np.uint64).reshape(1, sample_size)
+    return tuple(_draw_batch(words, num_clients)[0].tolist())
 
 
 def aggregate_model(updates) -> np.ndarray:
@@ -202,6 +275,10 @@ def hash_label(salt: bytes, label: str) -> str:
     return hashlib.sha256(salt + b"label:" + label.encode("utf-8")).hexdigest()[:16]
 
 
+# Most label cells drawn and rounded at once, bounding the draw's temporaries.
+_LABEL_BLOCK_CELLS = 1 << 16
+
+
 def _label_bit_generator(seed: int) -> np.random.Philox:
     """The run's label stream, positioned at its first word."""
     import numpy as np
@@ -231,13 +308,20 @@ def fleet_class_counts(seed: int, num_clients: int, dataset_size: int, num_class
     """Every client's synthetic per-class sample counts, one row per client.
 
     Row ``c`` is client ``c``'s split of its ``dataset_size`` samples over
-    ``num_classes`` classes, drawn from the label stream (module docstring)
-    in one call, so fleets are label-imbalanced as real federations are.
+    ``num_classes`` classes, drawn from the label stream (module docstring),
+    so fleets are label-imbalanced as real federations are. The rows are drawn
+    and rounded in blocks of at most ``_LABEL_BLOCK_CELLS`` cells, written into
+    the one result array; a row does not depend on the block it falls in.
     """
     import numpy as np
 
     gen = np.random.Generator(_label_bit_generator(seed))
-    return _largest_remainder(gen.random((num_clients, num_classes)), dataset_size)
+    counts = np.empty((num_clients, num_classes), dtype=np.int64)
+    rows = max(1, _LABEL_BLOCK_CELLS // num_classes)
+    for first in range(0, num_clients, rows):
+        block = counts[first:first + rows]
+        block[...] = _largest_remainder(gen.random(block.shape), dataset_size)
+    return counts
 
 
 def client_class_counts(seed: int, client_index: int, dataset_size: int, num_classes: int) -> dict[str, int]:
@@ -440,14 +524,17 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ``prices`` is :func:`price_fleet`'s result for ``config``, priced from
     ``tables`` when absent; pricing resolves each mix entry once, so an
     unresolvable entry fails even when no client gets it. Set-up hashes every
-    client once and sorts the node ids once. A round draws node-id ranks, as
-    :func:`sample_clients` draws indices, and logs them sorted and mapped back
-    to clients; at full participation every round logs one shared block. The
-    selection counts are read from the log. Label splits are drawn for the
-    whole fleet in one batch, and each class label is hashed once per run.
+    client once and sorts the node ids once; the log's client nodes are in
+    that order. The rounds are drawn in batches by the kernel that
+    :func:`sample_clients` runs, and each round logs its drawn clients' node-id
+    ranks, sorted; at full participation every round logs one shared block.
+    The selection counts are read from the log. Label splits are drawn for
+    the whole fleet in row blocks, and each class label is hashed once per run.
     Every random draw is addressed by the seed and a round or client index,
     so results depend on nothing but ``(config, seed)``.
     """
+    import numpy as np
+
     if prices is None:
         prices = price_fleet(config, tables or ReferenceTables.load())
 
@@ -457,9 +544,17 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     seed = config.seed
     salt = run_salt(seed)
 
-    pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
     node_ids = [hash_client_id(salt, c) for c in range(n)]
-    log = EmissionsLog(node_ids, [prices.client_rows[pair] for pair in pairs], prices.server_row)
+    # 16 lowercase hex characters sort as the big-endian integer they spell
+    order = np.argsort(np.frombuffer(bytes.fromhex("".join(node_ids)), dtype=">u8"), kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
+    node_order = order.tolist()
+    pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
+    client_rows = [prices.client_rows[pair] for pair in pairs]
+    # the log's node r is the client of node-id rank r, so a round's block is its sorted ranks
+    log = EmissionsLog([node_ids[c] for c in node_order], [client_rows[c] for c in node_order],
+                       prices.server_row)
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]
@@ -469,17 +564,19 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         hashed: total for hashed, total in zip(hashed_labels, label_counts.sum(axis=0).tolist()) if total
     }
 
-    order = sorted(range(n), key=node_ids.__getitem__)  # stable: colliding ids keep index order
-    ranks = [0] * n  # client -> node-id rank; the sampler swaps this list and restores it
-    for r, c in enumerate(order):
-        ranks[c] = r
-    block = tuple(order) if m == n else None  # a full draw: every round's block, no words read
-    for t in range(1, rounds + 1):
-        if m < n:
-            block = list(map(order.__getitem__, sorted(_draw(ranks, m, SelectionStream(seed, t)))))
-        log.add_round(t, block)
+    # rank r's int object at index r, taken from node_order, so blocks make no new ints
+    shared = np.array(node_order, dtype=object)[ranks]
+    if m == n:  # a full draw: every round's block, no words read
+        block = shared.tolist()
+        for t in range(1, rounds + 1):
+            log.add_round(t, block)
+    else:
+        for batch, drawn in _batches(seed, rounds, n, m, ranks):
+            for t, block in zip(batch, shared[drawn].tolist()):
+                log.add_round(t, block)
 
-    clients = ClientTable(node_ids, order, log.times_logged()[:n], label_counts, hashed_labels,
+    counts = np.array(log.times_logged()[:n])[ranks].tolist()
+    clients = ClientTable(node_ids, node_order, counts, label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,
                            clients=clients)

@@ -189,6 +189,35 @@ class TestEmissionsLog:
                 assert log.sorted_records() == added.sorted_records()
                 assert log.total_co2eq_g() == added.total_co2eq_g()
 
+    @pytest.mark.parametrize("change, ordered", [
+        (None, True), ("swap", False), ("repeat", False), ("collide", False),
+    ])
+    def test_ascending_node_ids_need_ascending_rounds_to_skip_the_sort(self, change, ordered):
+        # with client node ids strictly ascending, a round given in ascending indices is in CSV
+        # order; two clients out of order, a client listed twice (it has two rows) or a node id
+        # shared by two clients sends the log to the sorted CSV
+        training = ("training", 2.5, 0.125, 32.0, 4.0)
+        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training)] * 3
+        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
+        node_ids = ["0c", "1f", "4a", "77", "b7", "e1"]
+        rounds = {1: [0, 2, 5], 2: [1, 3, 4], 3: [0, 1, 2, 3, 4, 5], 4: [3]}
+        if change == "swap":
+            rounds[2] = [1, 4, 3]
+        elif change == "repeat":
+            rounds[2] = [1, 3, 3, 4]
+        elif change == "collide":
+            node_ids[3] = node_ids[4]
+        log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
+        for t, clients in rounds.items():
+            log.add_round(t, clients)
+            for c in clients:
+                for row in client_rows[c]:
+                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
+        assert log._ordered == ordered
+        assert log.to_csv_bytes() == added.to_csv_bytes()
+        assert log.sorted_records() == added.sorted_records()
+
     def test_repeated_rounds_share_a_block_and_count_alike(self):
         # clients equal to the last round's share its block, counted once times its repeats;
         # a client listed twice in a round is counted twice, as one add() per row counts it
@@ -295,9 +324,10 @@ def test_round_blocks_match_a_row_by_row_reference(tables, config):
     check_against_row_reference(run_federation(config, tables).emissions, config)
 
 
-@pytest.mark.parametrize("clients, drawn, rounds", [(8, 3, 40), (6, 6, 5)])
+@pytest.mark.parametrize("clients, drawn, rounds", [(8, 3, 40), (6, 6, 5), (8, 1, 40)])
 def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, clients, drawn, rounds):
-    # clients 2 and 5 share a node id, so a round drawing both is logged out of CSV order
+    # clients 2 and 5 share a node id, so a round drawing both is logged out of CSV order;
+    # drawing one client a round, they never share a round, and the CSV is sorted all the same
     config = parse_config({
         "name": "collide", "num_clients": clients, "total_rounds": rounds, "sample_size": drawn,
         "local_rounds": 1, "dataset_size": 50, "model_size": 10**5, "seed": 21,
@@ -310,6 +340,8 @@ def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, cl
     state = run_federation(config, tables)
     assert len(set(state.clients.node_ids)) == clients - 1
     draws = [set(sample_clients(clients, drawn, SelectionStream(21, t))) for t in range(1, rounds + 1)]
-    assert any({2, 5} <= draw for draw in draws)
+    assert any({2, 5} <= draw for draw in draws) == (drawn > 1)
+    assert any(2 in draw for draw in draws) and any(5 in draw for draw in draws)
+    assert not state.emissions._ordered
     check_against_row_reference(state.emissions, config)
     assert state.clients.counts == [sum(c in draw for draw in draws) for c in range(clients)]

@@ -193,6 +193,21 @@ class TestSampleClients:
             seed, t = rng.getrandbits(64), rng.getrandbits(20)
             assert sample_clients(n, m, SelectionStream(seed, t)) == reference_sample(seed, t, n, m)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 5000), kind=st.sampled_from(("one", "all but one", "any")),
+           share=st.floats(0, 1), rounds=st.integers(1, 60), seed=st.integers(0, 2**64 - 1),
+           cap=st.sampled_from((1, 8, 100, 1 << 16)))
+    def test_batched_rounds_match_the_reference_sampler(self, n, kind, share, rounds, seed, cap):
+        # a small word cap splits the run into many batches, down to one round each
+        m = {"one": 1, "all but one": n - 1, "any": round(share * (n - 1))}[kind]
+        if not 1 <= m < n:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim, "_BATCH_WORDS", cap)
+            got = {t: tuple(row) for batch, drawn in fedsim._batches(seed, rounds, n, m)
+                   for t, row in zip(batch, drawn.tolist())}
+        assert got == {t: reference_sample(seed, t, n, m) for t in range(1, rounds + 1)}
+
     def test_single_draw_frequencies_are_uniform(self):
         # 1e5 draws of 1 from 8: each client expected at 12500 +- 3 sigma
         n, draws = 8, 100_000
@@ -283,6 +298,15 @@ class TestLabelStream:
             batch = fleet_class_counts(5, 300, dataset_size, classes)
             assert (batch >= 0).all()
             assert (batch.sum(axis=1) == dataset_size).all()
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_row_blocks_equal_the_one_shot_draw(self, monkeypatch, rows):
+        n, classes = 53, 10
+        monkeypatch.setattr(fedsim, "_LABEL_BLOCK_CELLS", (rows or n) * classes)
+        for seed, dataset_size in ((0, 1), (3, 57), (2**64 - 1, 10_007)):
+            one_shot = _largest_remainder(
+                np.random.Generator(_label_bit_generator(seed)).random((n, classes)), dataset_size)
+            assert np.array_equal(fleet_class_counts(seed, n, dataset_size, classes), one_shot)
 
     def test_matches_independent_reference(self):
         rng = random.Random(8)
@@ -384,6 +408,17 @@ class TestRunFederation:
         assert [logged[t] for t in range(1, rounds + 1)] == \
             [sorted(clients, key=node_ids.__getitem__) for clients in drawn]
         assert state.clients.counts == [sum(c in clients for clients in drawn) for c in range(n)]
+
+    @pytest.mark.parametrize("n, m, rounds", [(40, 7, 30), (300, 150, 12), (9, 9, 4)])
+    def test_blocks_do_not_depend_on_the_batch_cap(self, tables, monkeypatch, n, m, rounds):
+        config = make_config(num_clients=n, sample_size=m, total_rounds=rounds, seed=77)
+        runs = []
+        for cap in (1 << 16, 4 * ((m + 3) // 4) + 1, 1):  # one batch, one round a batch
+            monkeypatch.setattr(fedsim, "_BATCH_WORDS", cap)
+            state = run_federation(config, tables)
+            runs.append(([(t, tuple(nodes)) for t, nodes in state.emissions._blocks],
+                         state.clients.counts, state.emissions.to_csv_bytes()))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_huge_model_size_prices_finite_rows(self, tables):
         config = make_config(num_clients=6, sample_size=3, total_rounds=50, model_size=10**9,
