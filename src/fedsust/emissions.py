@@ -209,7 +209,8 @@ class EmissionsLog:
         self._log(round_index, *self._last_round[1:])
 
     def times_logged(self) -> list[int]:
-        """The blocks each node is in, by node index; client ``c``'s node index is ``c``."""
+        """The blocks each node is in, by index into the log's node ids; a simulator log's
+        node ``r`` is client ``clients.node_order[r]``, whose count is also ``clients.counts``."""
         times = [0] * len(self._rows)
         for node, count in self._tally()[0].items():
             times[node] = count

@@ -26,13 +26,18 @@ here so it can be reimplemented independently:
 Every block is addressed by ``(seed, t, k)`` alone, so a run draws its
 rounds in batches without changing a word: one call makes the digests of a
 batch of rounds, hashing each round's ``tag || seed || t`` prefix once, and
-the batch's words are read as one big-endian ``uint64`` array. The swaps of
-every round in the batch are made together, in ``m`` vectorized steps, over
-compact per-round slots: positions ``0 .. m-1`` plus one slot per distinct
-swap target ``>= m``, so no round copies all ``N`` positions. A batch holds
-at most ``_BATCH_WORDS`` words (or one round's). :func:`sample_clients`
-runs the same kernel on one round's words, read from a
-:class:`SelectionStream`.
+the batch's words are read as one big-endian ``uint64`` array. The swaps are
+made over compact per-round slots: positions ``0 .. m-1`` plus one slot per
+distinct swap target ``>= m``, so no round copies all ``N`` positions. A
+batch holds at most ``_BATCH_WORDS`` words (or one round's), so it holds
+fewer rounds as ``m`` grows. One numpy step, swapping position ``i`` of
+every round of the batch at once, costs about as much as eight list swaps:
+a batch of at least ``_VECTOR_ROUNDS`` rounds is swapped in ``m`` such
+steps, and a smaller one (``m`` above ``_BATCH_WORDS / 8``, a short run, or
+a run's last batch) makes the same swaps over its slots as one Python list.
+:func:`sample_clients` runs the same kernel on one round's words, read from
+a :class:`SelectionStream`.
+
 Label stream
 ------------
 Synthetic label splits come from one run-wide Philox4x64-10 stream
@@ -135,6 +140,8 @@ class SimulationError(ValueError):
 
 # Most stream words drawn at once: a batch of rounds holds at most this many (or one round).
 _BATCH_WORDS = 1 << 16
+# Fewest rounds a batch swaps in numpy steps; a smaller batch swaps a list (module docstring).
+_VECTOR_ROUNDS = 8
 
 
 def _digests(seed: int, rounds, blocks: range) -> bytes:
@@ -188,9 +195,10 @@ def _draw_batch(words: np.ndarray, num_clients: int, relabel: np.ndarray | None 
     ``b`` of the ``(rounds, m)`` word array: the values left at positions ``0 .. m-1`` of
     ``[0, ..., num_clients - 1]``, mapped through ``relabel`` when given, sorted ascending.
 
-    All rounds are swapped together, in ``m`` vectorized steps over compact per-round
-    slots: a round's positions ``0 .. m-1``, then one slot per distinct swap target
-    ``>= m``, holding that position's value; no round copies the whole arrangement.
+    The swaps are made over compact per-round slots: a round's positions ``0 .. m-1``,
+    then one slot per distinct swap target ``>= m``, holding that position's value; no
+    round copies the whole arrangement. At least ``_VECTOR_ROUNDS`` rounds are swapped
+    together, in ``m`` vectorized steps; fewer are swapped one by one in a list.
     """
     import numpy as np
 
@@ -199,14 +207,20 @@ def _draw_batch(words: np.ndarray, num_clients: int, relabel: np.ndarray | None 
     targets = (steps + words % (np.uint64(num_clients) - steps)).astype(np.int64)
     # round b's position i < m is slot b*m + i; its distinct targets >= m follow all of those
     row = np.arange(rounds, dtype=np.int64)[:, None]
-    positions = row * m + np.arange(m)
     slots = row * m + targets
     beyond = targets >= m
     distinct, inverse = np.unique((row * num_clients + targets)[beyond], return_inverse=True)
     slots[beyond] = rounds * m + inverse
     values = np.concatenate((np.tile(np.arange(m, dtype=np.int64), rounds), distinct % num_clients))
-    for i, j in zip(positions.T.copy(), slots.T.copy()):  # step i, every round at once
-        values[i], values[j] = values[j], values[i]
+    if rounds >= _VECTOR_ROUNDS:
+        positions = row * m + np.arange(m)
+        for i, j in zip(positions.T.copy(), slots.T.copy()):  # step i, every round at once
+            values[i], values[j] = values[j], values[i]
+    else:  # step i of round b swaps slot b*m + i, round by round
+        swapped = values.tolist()
+        for i, j in enumerate(slots.ravel().tolist()):
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+        values = np.array(swapped)
     picked = values[:rounds * m].reshape(rounds, m)
     return np.sort(picked if relabel is None else relabel[picked], axis=1)
 

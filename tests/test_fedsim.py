@@ -196,14 +196,16 @@ class TestSampleClients:
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(n=st.integers(1, 5000), kind=st.sampled_from(("one", "all but one", "any")),
            share=st.floats(0, 1), rounds=st.integers(1, 60), seed=st.integers(0, 2**64 - 1),
-           cap=st.sampled_from((1, 8, 100, 1 << 16)))
-    def test_batched_rounds_match_the_reference_sampler(self, n, kind, share, rounds, seed, cap):
-        # a small word cap splits the run into many batches, down to one round each
+           cap=st.sampled_from((1, 8, 100, 1 << 16)), vector=st.sampled_from((1, 8, 10**9)))
+    def test_batched_rounds_match_the_reference_sampler(self, n, kind, share, rounds, seed, cap, vector):
+        # a small word cap splits the run into many batches, down to one round each; the
+        # vector threshold sends every batch, batches of 8 rounds or more, or none to numpy steps
         m = {"one": 1, "all but one": n - 1, "any": round(share * (n - 1))}[kind]
         if not 1 <= m < n:
             return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fedsim, "_BATCH_WORDS", cap)
+            patch.setattr(fedsim, "_VECTOR_ROUNDS", vector)
             got = {t: tuple(row) for batch, drawn in fedsim._batches(seed, rounds, n, m)
                    for t, row in zip(batch, drawn.tolist())}
         assert got == {t: reference_sample(seed, t, n, m) for t in range(1, rounds + 1)}
@@ -409,11 +411,13 @@ class TestRunFederation:
             [sorted(clients, key=node_ids.__getitem__) for clients in drawn]
         assert state.clients.counts == [sum(c in clients for clients in drawn) for c in range(n)]
 
-    @pytest.mark.parametrize("n, m, rounds", [(40, 7, 30), (300, 150, 12), (9, 9, 4)])
+    @pytest.mark.parametrize("n, m, rounds", [(40, 7, 30), (300, 150, 12), (2, 1, 20)])
     def test_blocks_do_not_depend_on_the_batch_cap(self, tables, monkeypatch, n, m, rounds):
         config = make_config(num_clients=n, sample_size=m, total_rounds=rounds, seed=77)
         runs = []
-        for cap in (1 << 16, 4 * ((m + 3) // 4) + 1, 1):  # one batch, one round a batch
+        # one batch; batches of 9 rounds (numpy steps) and a shorter last one (list swaps); one
+        # round a batch
+        for cap in (1 << 16, 9 * 4 * ((m + 3) // 4), 1):
             monkeypatch.setattr(fedsim, "_BATCH_WORDS", cap)
             state = run_federation(config, tables)
             runs.append(([(t, tuple(nodes)) for t, nodes in state.emissions._blocks],
