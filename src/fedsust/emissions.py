@@ -15,7 +15,7 @@ import io
 import math
 import operator
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
 from types import SimpleNamespace
@@ -216,14 +216,20 @@ class EmissionsLog:
             times[node] = count
         return times
 
-    def _tally(self) -> tuple[Counter, list[tuple[str, tuple, int]]]:
-        """``(logged, priced)``: the blocks each logged node is in, and each distinct
-        ``(role, priced row, times logged)``; counted again only after new blocks.
+    def set_client_counts(self, times: Mapping[int, int]) -> None:
+        """Tally the blocks so far, all logged by :meth:`add_round`, from ``times``, client
+        node -> blocks it is in, as the caller counted them; a later block drops it."""
+        self._tally({**times, self._server: len(self._blocks)})
+
+    def _tally(self, logged: Mapping[int, int] | None = None) -> tuple[Mapping, list[tuple[str, tuple, int]]]:
+        """``(logged, priced)``: the blocks each logged node is in, unless given, and each
+        distinct ``(role, priced row, times logged)``; counted again only after new blocks.
         A block logged more than once is counted once, times its repeats."""
-        if self._tallied[0] != len(self._blocks):
+        if logged is None and self._tallied[0] != len(self._blocks):
             logged = Counter()
             for nodes, times in Counter(nodes for _, nodes in self._blocks).items():
                 logged.update(nodes if times == 1 else {n: k * times for n, k in Counter(nodes).items()})
+        if logged is not None:
             priced: dict[tuple, list] = {}
             for node, times in logged.items():
                 role = self._roles[node]

@@ -26,17 +26,15 @@ here so it can be reimplemented independently:
 Every block is addressed by ``(seed, t, k)`` alone, so a run draws its
 rounds in batches without changing a word: one call makes the digests of a
 batch of rounds, hashing each round's ``tag || seed || t`` prefix once, and
-the batch's words are read as one big-endian ``uint64`` array. The swaps are
-made over compact per-round slots: positions ``0 .. m-1`` plus one slot per
-distinct swap target ``>= m``, so no round copies all ``N`` positions. A
-batch holds at most ``_BATCH_WORDS`` words (or one round's), so it holds
-fewer rounds as ``m`` grows. One numpy step, swapping position ``i`` of
-every round of the batch at once, costs about as much as eight list swaps:
-a batch of at least ``_VECTOR_ROUNDS`` rounds is swapped in ``m`` such
-steps, and a smaller one (``m`` above ``_BATCH_WORDS / 8``, a short run, or
-a run's last batch) makes the same swaps over its slots as one Python list.
-:func:`sample_clients` runs the same kernel on one round's words, read from
-a :class:`SelectionStream`.
+the batch's words are read as one big-endian ``uint64`` array. No round
+copies all ``N`` positions. A batch holds at most ``_BATCH_WORDS`` words (or
+one round's), so it holds fewer rounds as ``m`` grows. One numpy step,
+swapping position ``i`` of every round of the batch at once, costs about as
+much as eight list swaps: a batch of at least ``_VECTOR_ROUNDS`` rounds is
+swapped in ``m`` such steps over compact per-round slots, and a smaller one
+(``m`` above ``_BATCH_WORDS / 8``, a short run, or a run's last batch) round
+by round in a list, the values at swap targets ``>= m`` in a dict, as
+:func:`sample_clients` swaps one round's words from a :class:`SelectionStream`.
 
 Label stream
 ------------
@@ -72,7 +70,7 @@ client of node-id rank ``r``, so a round's block is its drawn ranks sorted
 as integers, held as the shared int objects of the node order. The log
 checks once, when it is made, that its node ids strictly ascend, so a fleet
 whose ids collide writes its CSV sorted. Each client's rounds drawn are
-counted once, from the log.
+counted from the drawn ranks and handed to the log.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -195,34 +193,43 @@ def _draw_batch(words: np.ndarray, num_clients: int, relabel: np.ndarray | None 
     ``b`` of the ``(rounds, m)`` word array: the values left at positions ``0 .. m-1`` of
     ``[0, ..., num_clients - 1]``, mapped through ``relabel`` when given, sorted ascending.
 
-    The swaps are made over compact per-round slots: a round's positions ``0 .. m-1``,
-    then one slot per distinct swap target ``>= m``, holding that position's value; no
-    round copies the whole arrangement. At least ``_VECTOR_ROUNDS`` rounds are swapped
-    together, in ``m`` vectorized steps; fewer are swapped one by one in a list.
+    At least ``_VECTOR_ROUNDS`` rounds are swapped together, in ``m`` vectorized steps
+    over compact per-round slots: a round's positions ``0 .. m-1``, then one slot per
+    distinct swap target ``>= m``, holding that position's value. Fewer are swapped
+    round by round by :func:`_swapped`. No round copies the whole arrangement.
     """
     import numpy as np
 
     rounds, m = words.shape
     steps = np.arange(m, dtype=np.uint64)
     targets = (steps + words % (np.uint64(num_clients) - steps)).astype(np.int64)
-    # round b's position i < m is slot b*m + i; its distinct targets >= m follow all of those
-    row = np.arange(rounds, dtype=np.int64)[:, None]
-    slots = row * m + targets
-    beyond = targets >= m
-    distinct, inverse = np.unique((row * num_clients + targets)[beyond], return_inverse=True)
-    slots[beyond] = rounds * m + inverse
-    values = np.concatenate((np.tile(np.arange(m, dtype=np.int64), rounds), distinct % num_clients))
     if rounds >= _VECTOR_ROUNDS:
-        positions = row * m + np.arange(m)
-        for i, j in zip(positions.T.copy(), slots.T.copy()):  # step i, every round at once
+        # round b's position i < m is slot b*m + i; its distinct targets >= m follow all of those
+        row = np.arange(rounds, dtype=np.int64)[:, None]
+        slots = row * m + targets
+        beyond = targets >= m
+        distinct, inverse = np.unique((row * num_clients + targets)[beyond], return_inverse=True)
+        slots[beyond] = rounds * m + inverse
+        values = np.concatenate((np.tile(np.arange(m, dtype=np.int64), rounds), distinct % num_clients))
+        for i, j in zip((row * m + np.arange(m)).T.copy(), slots.T.copy()):  # step i, every round at once
             values[i], values[j] = values[j], values[i]
-    else:  # step i of round b swaps slot b*m + i, round by round
-        swapped = values.tolist()
-        for i, j in enumerate(slots.ravel().tolist()):
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-        values = np.array(swapped)
-    picked = values[:rounds * m].reshape(rounds, m)
+        picked = values[:rounds * m].reshape(rounds, m)
+    else:
+        picked = np.array([_swapped(row) for row in targets.tolist()])
     return np.sort(picked if relabel is None else relabel[picked], axis=1)
+
+
+def _swapped(targets: list[int]) -> list[int]:
+    """The values at positions ``0 .. m-1`` of ``[0, 1, ...]`` after swapping position ``i``
+    with ``targets[i]`` for each ``i < m``, the values at targets ``>= m`` held in a dict."""
+    m = len(targets)
+    values, beyond = list(range(m)), {}
+    for i, j in enumerate(targets):
+        if j < m:
+            values[i], values[j] = values[j], values[i]
+        else:
+            values[i], beyond[j] = beyond.get(j, j), values[i]
+    return values
 
 
 def _batches(seed: int, rounds: int, num_clients: int, sample_size: int,
@@ -243,7 +250,7 @@ def _batches(seed: int, rounds: int, num_clients: int, sample_size: int,
 def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) -> tuple[int, ...]:
     """Draw a uniform ``sample_size``-subset of ``range(num_clients)``, sorted.
 
-    A full draw picks every client whatever the words, so it reads none.
+    The swaps are :func:`_swapped`'s. A full draw picks every client, reading no words.
     """
     if sample_size < 1 or sample_size > num_clients:
         raise SimulationError(
@@ -251,10 +258,8 @@ def sample_clients(num_clients: int, sample_size: int, stream: SelectionStream) 
         )
     if sample_size == num_clients:
         return tuple(range(num_clients))
-    import numpy as np
-
-    words = np.array(stream.take(sample_size), dtype=np.uint64).reshape(1, sample_size)
-    return tuple(_draw_batch(words, num_clients)[0].tolist())
+    words = stream.take(sample_size)
+    return tuple(sorted(_swapped([i + w % (num_clients - i) for i, w in enumerate(words)])))
 
 
 def aggregate_model(updates) -> np.ndarray:
@@ -539,11 +544,11 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ``tables`` when absent; pricing resolves each mix entry once, so an
     unresolvable entry fails even when no client gets it. Set-up hashes every
     client once and sorts the node ids once; the log's client nodes are in
-    that order. The rounds are drawn in batches by the kernel that
-    :func:`sample_clients` runs, and each round logs its drawn clients' node-id
-    ranks, sorted; at full participation every round logs one shared block.
-    The selection counts are read from the log. Label splits are drawn for
-    the whole fleet in row blocks, and each class label is hashed once per run.
+    that order. The rounds are drawn in batches by :func:`_draw_batch`, and each
+    round logs its drawn clients' node-id ranks, sorted; at full participation
+    every round logs one shared block. The selection counts are counted from the
+    drawn ranks and handed to the log. Label splits are drawn for the whole fleet
+    in row blocks, and each class label is hashed once per run.
     Every random draw is addressed by the seed and a round or client index,
     so results depend on nothing but ``(config, seed)``.
     """
@@ -580,16 +585,20 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
 
     # rank r's int object at index r, taken from node_order, so blocks make no new ints
     shared = np.array(node_order, dtype=object)[ranks]
+    times = np.full(n, rounds if m == n else 0)  # the rounds each rank is drawn in
     if m == n:  # a full draw: every round's block, no words read
         block = shared.tolist()
         for t in range(1, rounds + 1):
             log.add_round(t, block)
     else:
         for batch, drawn in _batches(seed, rounds, n, m, ranks):
+            times += np.bincount(drawn.ravel(), minlength=n)
             for t, block in zip(batch, shared[drawn].tolist()):
                 log.add_round(t, block)
+    logged = np.flatnonzero(times)
+    log.set_client_counts(dict(zip(logged.tolist(), times[logged].tolist())))
 
-    counts = np.array(log.times_logged()[:n])[ranks].tolist()
+    counts = times[ranks].tolist()
     clients = ClientTable(node_ids, node_order, counts, label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,

@@ -15,7 +15,6 @@ import math
 import os
 from collections.abc import Mapping
 from decimal import ROUND_HALF_EVEN, Decimal
-from itertools import compress
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -319,12 +318,13 @@ def render_report(report: dict) -> bytes:
     """UTF-8 of ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False,
     allow_nan=False)`` and a newline. A :class:`~fedsust.fedsim.SelectionCounts`
     is written as the dict it reads as, and a :class:`~fedsust.fedsim.ClientTable`
-    as the dict of its clients' factsheet entries keyed by node id. A non-finite
+    as the dict of its clients' factsheet entries keyed by node id, both rendered
+    by column (:func:`_write_clients`, which alone loads numpy). A non-finite
     float raises ``ValueError``; a non-``str`` key or any other type than these
     and exact dict, list, tuple, str, int, float, bool and ``None`` raises
     ``TypeError``."""
     chunks: list[str] = []
-    _write_json(report, chunks, "\n")
+    _write_json(report, chunks, "\n", {})
     chunks.append("\n")
     text = "".join(chunks)
     chunks.clear()  # a factsheet's pieces are freed before its text is encoded
@@ -342,7 +342,7 @@ _SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
             bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
-def _write_json(value, chunks: list[str], newline: str) -> None:
+def _write_json(value, chunks: list[str], newline: str, quoted: dict) -> None:
     """Append the JSON of ``value``, laid out at the padding of ``newline``."""
     kind = type(value)
     write = _SCALARS.get(kind)
@@ -361,7 +361,7 @@ def _write_json(value, chunks: list[str], newline: str) -> None:
             write = scalar(type(item))
             if write is None:
                 emit(prefix)
-                _write_json(item, chunks, inner)
+                _write_json(item, chunks, inner, quoted)
             else:
                 emit(prefix + write(item))
         chunks[first] = chunks[first][1:]  # no comma before the first key
@@ -371,73 +371,68 @@ def _write_json(value, chunks: list[str], newline: str) -> None:
         separator = "[" + inner
         for item in value:
             chunks.append(separator)
-            _write_json(item, chunks, inner)
+            _write_json(item, chunks, inner, quoted)
             separator = "," + inner
         chunks.append(newline + "]")
     elif kind is dict or kind is list or kind is tuple:
         chunks.append("{}" if kind is dict else "[]")
     elif kind is SelectionCounts or kind is ClientTable:
-        _write_clients(value, chunks, newline)
+        _write_clients(value, chunks, newline, quoted)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str) -> None:
-    """Append a per-client block, one entry per client in node-id order, formatted
-    from the columns of the table behind ``value``."""
+def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str,
+                   quoted: dict) -> None:
+    """Append a per-client block in node-id order, rendered by column: one object array of
+    text cells, a row per client, joined once. A row is the separator (the open brace in the
+    first row), the node id, quoted once per table into ``quoted``, and the entry's cells,
+    each made once per distinct count."""
     table = value.table if type(value) is SelectionCounts else value
     if not len(table):
         chunks.append("{}")
         return
-    inner = newline + "  "
+    import numpy as np
+
+    inner, field = newline + "  ", newline + "    "
+    if table not in quoted:
+        quoted[table] = np.array([*map(encode_basestring, map(table.node_ids.__getitem__, table.node_order))],
+                                 dtype=object)
+    distinct, which = np.unique(np.array(table.counts)[table.node_order], return_inverse=True)
     if table is value:
-        entries = _client_entries(table, inner)
+        heads, tails = [], []
+        seconds, summed = 0.0, 0
+        for count in distinct.tolist():
+            while summed < count:  # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
+                seconds += table.train_s
+                summed += 1
+            heads.append(f': {{{field}"avg_training_time_s": {_finite_repr(seconds / (count or 1))},'
+                         f'{field}"class_balance": {{{field}  ')
+            tails.append(f'{field}}},{field}"dataset_size": {int.__repr__(table.dataset_size)},'
+                         f'{field}"participation_rate": {_finite_repr(count / table.rounds)}{inner}}}')
+        k = len(table.labels)
+        by_label = sorted(range(k), key=table.labels.__getitem__)
+        rows = table.class_counts[np.ix_(table.node_order, by_label)]
+        nonzero = rows != 0
+        names = [encode_basestring(table.labels[j]) + ": " for j in by_label]
+        # a class label's cell at a zero count, at its row's first non-zero count, and at a later one
+        forms = np.array([["", name, f",{field}  {name}"] for name in names], dtype=object)
+        values, at = np.unique(rows, return_inverse=True)
+        digits = np.array([int.__repr__(v) if v else "" for v in values.tolist()], dtype=object)
+        cells = np.empty((len(table), 2 * k + 4), dtype=object)
+        cells[:, 2] = np.array(heads, dtype=object)[which]
+        cells[:, 3:-1:2] = forms[np.arange(k), np.minimum(nonzero.cumsum(axis=1), 2) * nonzero]
+        cells[:, 4:-1:2] = digits[at.reshape(rows.shape)]
+        cells[:, -1] = np.array(tails, dtype=object)[which]
     else:
-        node_ids, counts = table.node_ids, table.counts
-        entries = [f",{inner}{encode_basestring(node_ids[c])}: {counts[c]!r}" for c in table.node_order]
-    entries[0] = "{" + entries[0][1:]  # an open brace, not a comma, before the first entry
-    chunks += entries
+        cells = np.empty((len(table), 3), dtype=object)
+        cells[:, 2] = np.array([": " + int.__repr__(c) for c in distinct.tolist()], dtype=object)[which]
+    cells[:, 0] = "," + inner
+    cells[0, 0] = "{" + inner
+    cells[:, 1] = quoted[table]
+    cells = cells.ravel().tolist()  # the array is freed before the join
+    chunks.append("".join(cells))
     chunks.append(newline + "}")
-
-
-def _client_entries(table: ClientTable, inner: str) -> list[str]:
-    """Each client's factsheet entry after ``,<inner>``, in node-id order.
-
-    An entry is a head and a tail that depend on the client's count alone,
-    around its class balance: one ``%`` template, which fills these rows about
-    twice as fast as ``str.format``, takes a row without zero counts, and the
-    template's cells of its non-zero counts take any other row.
-    """
-    field = inner + "  "
-    label = field + "  "
-    dataset_size = int.__repr__(table.dataset_size)
-    heads, tails = {}, {}
-    seconds, summed = 0.0, 0
-    for count in sorted(set(table.counts)):
-        while summed < count:  # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
-            seconds += table.train_s
-            summed += 1
-        heads[count] = (f': {{{field}"avg_training_time_s": {_finite_repr(seconds / count if count else 0.0)},'
-                        f'{field}"class_balance": {{{label}')
-        tails[count] = (f'{field}}},{field}"dataset_size": {dataset_size},'
-                        f'{field}"participation_rate": {_finite_repr(count / table.rounds)}{inner}}}')
-
-    by_label = sorted(range(len(table.labels)), key=table.labels.__getitem__)
-    cells = [encode_basestring(table.labels[j]).replace("%", "%%") + ": %d" for j in by_label]
-    between = "," + label
-    full = between.join(cells)
-    rows = table.class_counts[:, by_label].tolist()  # rows sum to dataset_size >= 1: none is empty
-    node_ids, counts = table.node_ids, table.counts
-    entries = []
-    for c in table.node_order:
-        row = rows[c]
-        if 0 in row:
-            balance = between.join(compress(cells, row)) % tuple(filter(None, row))
-        else:
-            balance = full % tuple(row)
-        count = counts[c]
-        entries.append(f",{inner}{encode_basestring(node_ids[c])}{heads[count]}{balance}{tails[count]}")
-    return entries
 
 
 def emissions_summary(state: FederationState) -> dict:

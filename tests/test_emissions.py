@@ -243,6 +243,29 @@ class TestEmissionsLog:
         for key in ("phase", "role"):
             assert log.co2eq_by(key) == added.co2eq_by(key)
 
+    def test_handed_client_counts_tally_as_the_blocks_do(self):
+        # the simulator hands in the counts it took from its drawn ranks; a later block recounts
+        training = ("training", 2.5, 0.125, 32.0, 4.0)
+        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
+        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
+        rounds = [(1, [0, 2]), (2, [1]), (3, [0, 2]), (4, [0, 1, 2])]
+        counted, handed = (EmissionsLog(["0c", "b7", "e1"], client_rows, server_row) for _ in range(2))
+        for t, clients in rounds:
+            counted.add_round(t, clients)
+            handed.add_round(t, clients)
+        handed.set_client_counts({0: 3, 1: 2, 2: 3})
+        for extra in (None, [1]):
+            if extra:
+                counted.add_round(5, extra)
+                handed.add_round(5, extra)
+            assert handed.times_logged() == counted.times_logged()
+            assert handed.to_csv_bytes() == counted.to_csv_bytes()
+            assert len(handed) == len(counted)
+            assert handed.total_co2eq_g() == counted.total_co2eq_g()
+            for key in ("phase", "role"):
+                assert handed.co2eq_by(key) == counted.co2eq_by(key)
+        assert counted.times_logged() == [3, 3, 3, 5]
+
     def test_field_name_and_callable_keys_group_alike(self):
         log = random_log(17)
         for name in ("round", "role", "node_id", "phase"):

@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 from decimal import Decimal
+from itertools import compress
+from json.encoder import encode_basestring
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +355,73 @@ def _nested(leaf):
     ), max_leaves=6)
 
 
+def reference_block(value, newline: str) -> str:
+    """A per-client block as the per-entry writer wrote it before the column render: one
+    entry string per client in node-id order, around a class balance filled from a ``%``
+    template of its non-zero cells."""
+    table = value.table if type(value) is SelectionCounts else value
+    if not len(table):
+        return "{}"
+    inner = newline + "  "
+    quoted = [encode_basestring(node_id) for node_id in table.node_ids]
+    if table is not value:
+        return "{" + "".join(f",{inner}{quoted[c]}: {table.counts[c]!r}" for c in table.node_order)[1:] + newline + "}"
+    field, label = inner + "  ", inner + "    "
+    heads, tails = {}, {}
+    seconds, summed = 0.0, 0
+    for count in sorted(set(table.counts)):
+        while summed < count:
+            seconds += table.train_s
+            summed += 1
+        heads[count] = (f': {{{field}"avg_training_time_s": {seconds / count if count else 0.0!r},'
+                        f'{field}"class_balance": {{{label}')
+        tails[count] = (f'{field}}},{field}"dataset_size": {table.dataset_size!r},'
+                        f'{field}"participation_rate": {count / table.rounds!r}{inner}}}')
+    by_label = sorted(range(len(table.labels)), key=table.labels.__getitem__)
+    cells = [encode_basestring(table.labels[j]).replace("%", "%%") + ": %d" for j in by_label]
+    between = "," + label
+    rows = table.class_counts[:, by_label].tolist()
+    entries = []
+    for c in table.node_order:
+        row, count = rows[c], table.counts[c]
+        balance = between.join(compress(cells, row)) % tuple(filter(None, row))
+        entries.append(f",{inner}{quoted[c]}{heads[count]}{balance}{tails[count]}")
+    return "{" + "".join(entries)[1:] + newline + "}"
+
+
+# labels with template, quoting and non-ASCII characters, never a lone surrogate
+_LABEL = st.text(st.sampled_from('%"\\ é€😀a') | st.characters(codec="utf-8"), min_size=1, max_size=5)
+
+
+@st.composite
+def client_tables(draw):
+    """Client tables of up to 60 clients and 12 classes whose rows of at most 30 samples
+    hold zeros, some with a single non-zero cell, and a ``train_s`` whose repeated sum
+    divided by the count is not ``train_s``. The columns come from a drawn numpy seed."""
+    n, k, size = draw(st.integers(1, 60)), draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rounds = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the samples split at k - 1 cut points, or all in one class
+    rows = np.diff(np.sort(rng.integers(0, size + 1, (n, k - 1)), axis=1), prepend=0, append=size)
+    single = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rows[single] = 0
+    rows[single, rng.integers(0, k, single.sum())] = size
+    node_ids = [f"{v:016x}" for v in rng.choice(2**63 - 1, n, replace=False).tolist()]
+    return ClientTable(
+        node_ids, sorted(range(n), key=node_ids.__getitem__), rng.integers(0, rounds + 1, n).tolist(),
+        rows, draw(st.lists(_LABEL, min_size=k, max_size=k, unique=True)), rounds, size,
+        draw(st.sampled_from([0.1, 0.7, 1 / 3, 2.3e-5, 123.456])),
+    )
+
+
+def check_client_blocks(table):
+    for value in (table, SelectionCounts(table)):
+        assert render_report(value) == (reference_block(value, "\n") + "\n").encode("utf-8")
+        nested = '{\n  "x": {\n    "y": ' + reference_block(value, "\n    ") + "\n  }\n}\n"
+        assert render_report({"x": {"y": value}}) == nested.encode("utf-8")
+        assert json.loads(render_report(value)) == plain(value)
+
+
 class TestCanonicalWriter:
     @settings(derandomize=True, deadline=None, database=None, max_examples=120)
     @given(value=_VALUES)
@@ -386,3 +456,17 @@ class TestCanonicalWriter:
     def test_client_blocks_match_json_dumps(self, tables, config):
         sheet = populate_factsheet(config, run_federation(config, tables))
         assert render_report(sheet) == canonical_json(plain(sheet))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(table=client_tables())
+    def test_client_blocks_match_the_per_entry_writer(self, table):
+        check_client_blocks(table)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_client_blocks(self, n):
+        table = ClientTable(["00ff00ff00ff00ff"][:n], list(range(n)), [3][:n],
+                            np.array([[0, 4, 0]][:n], dtype=np.int64).reshape(n, 3),
+                            ['"%d"', "a b", "é"], 7, 4, 0.1)
+        check_client_blocks(table)
+        if not n:
+            assert render_report(table) == render_report(SelectionCounts(table)) == b"{}\n"
