@@ -4,7 +4,7 @@ Energy is estimated, not measured: a phase drawing ``tdp`` watts at a given
 utilization for ``duration`` seconds consumes
 ``tdp * utilization * duration / 3.6e6`` kWh, and emits
 ``energy_kwh * grid_intensity`` grams of CO2eq. Rows accumulate in an
-:class:`EmissionsLog` of round blocks; the persisted CSV is in
+:class:`EmissionsLog` of batches of rounds; the persisted CSV is in
 ``(round, role, node_id, phase)`` order so the file bytes are deterministic
 no matter in which order rows were added.
 """
@@ -14,14 +14,17 @@ from __future__ import annotations
 import io
 import math
 import operator
-from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .config import EnergyModel
 from .refdata import HardwareProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EmissionRecord",
@@ -134,28 +137,27 @@ def track_phase(
 
 
 class EmissionsLog:
-    """Emission rows stored as round blocks.
+    """Emission rows stored as batches of rounds.
 
     A node is a role, a node id and one or more priced rows ``(phase,
     duration_s, energy_kwh, intensity, co2eq_g)``. A log made from a run's
     prices holds one node per client, ``node_ids[c]`` with ``client_rows[c]``,
     and the server node with ``server_row``; these rows are not checked, so
     each client's must be in CSV order and every row priced by
-    :func:`estimate_energy` and :func:`energy_to_co2`. :meth:`add_round` logs
-    a round as its index and its drawn clients: each client's rows, then the
-    server row. :meth:`add` logs one validated record as a one-row block.
-    Whether the client node ids strictly ascend is learned once, when the log
-    is made: then a round given in ascending node indices is in CSV order, and
-    otherwise (ids out of order, or two clients sharing an id) the CSV is
-    sorted.
+    :func:`estimate_energy` and :func:`energy_to_co2`. A batch is a first
+    round, an int32 array of node indices with a row per round, and the tail
+    nodes logged after each row: :meth:`add_rounds` logs drawn clients with the
+    server as the tail, :meth:`add` one record as a one-round batch of a new
+    node. When the client node ids strictly ascend, learned once, a batch whose
+    rows strictly ascend is in CSV order; otherwise the CSV is sorted.
 
     The length, the totals and ``co2eq_by("phase" | "role")`` come from each
-    distinct priced row and the number of times it was logged: ``math.fsum``
-    is exactly rounded, so the sum of that multiset does not depend on row
-    order, and it takes one term per power of two in a count. The CSV is
-    written block by block from line text made once per logged node, and
-    sorted only when rows were logged out of CSV order. Everything else
-    expands the rows on demand.
+    distinct priced row and the number of times it was logged, counted a batch
+    at a time: ``math.fsum`` is exactly rounded, so the sum of that multiset
+    does not depend on row order, and it takes one term per power of two in a
+    count. The CSV is written a round at a time, one join of line text made
+    once per logged node (row by row if client nodes hold unequal row counts).
+    Everything else expands the rows on demand.
     """
 
     def __init__(self, node_ids: Sequence[str] = (), client_rows: Sequence[tuple] = (),
@@ -165,14 +167,14 @@ class EmissionsLog:
         self._roles = ["client"] * len(node_ids)
         self._node_ids = list(node_ids)
         self._rows = list(client_rows)
-        # whether every block continued CSV order; a round's clients can do so only when
+        self._clients = len(self._rows)
+        # whether every batch continued CSV order; a round's clients can do so only when
         # the client node ids strictly ascend, which is learned here, once
         self._ordered = all(map(operator.lt, self._node_ids, self._node_ids[1:]))
-        self._server = None if server_row is None else self._node("server", "server", (server_row,))
-        self._blocks: list[tuple[int, tuple[int, ...]]] = []  # (round, nodes)
+        self._server = () if server_row is None else (self._node("server", "server", (server_row,)),)
+        self._blocks: list[tuple[int, np.ndarray, int, tuple]] = []  # (first round, rows, rounds a row, tail)
         self._last_key: tuple = ()  # sort key of the last row logged
-        self._tallied: tuple = (-1, None)  # (blocks tallied, tally)
-        self._last_round: tuple = (None,)  # the last add_round's (clients, nodes, in CSV order)
+        self._tallied: tuple = (-1, None)  # (batches tallied, tally)
 
     def _node(self, role: str, node_id: str, rows: tuple) -> int:
         self._roles.append(role)
@@ -180,69 +182,75 @@ class EmissionsLog:
         self._rows.append(rows)
         return len(self._rows) - 1
 
-    def _log(self, round_index: int, nodes: tuple[int, ...], ordered: bool) -> None:
-        first, last = nodes[0], nodes[-1]
-        first_key = (round_index, self._roles[first], self._node_ids[first], *self._rows[first][0][:4])
-        self._ordered = self._ordered and ordered and self._last_key <= first_key
-        self._last_key = (round_index, self._roles[last], self._node_ids[last], *self._rows[last][-1][:4])
-        self._blocks.append((round_index, nodes))
+    def _log(self, first_round: int, nodes: np.ndarray, repeats: int, tail: tuple, ascending: bool) -> None:
+        first, last = (int(nodes[0, 0]) if nodes.shape[1] else tail[0]), (tail or nodes[-1].tolist())[-1]
+        first_key = (first_round, self._roles[first], self._node_ids[first], *self._rows[first][0][:4])
+        self._ordered = self._ordered and ascending and self._last_key <= first_key
+        self._last_key = (first_round + len(nodes) * repeats - 1, self._roles[last], self._node_ids[last],
+                          *self._rows[last][-1][:4])
+        self._blocks.append((first_round, nodes, repeats, tail))
 
     def add(self, record: EmissionRecord) -> None:
-        row = (record.phase, record.duration_s, record.energy_kwh, record.intensity, record.co2eq_g)
-        self._log(record.round, (self._node(record.role, record.node_id, (row,)),), True)
+        import numpy as np
 
-    def add_round(self, round_index: int, clients: Sequence[int]) -> None:
-        """Log round ``round_index``: the rows of each client in ``clients``, distinct
-        indices into ``node_ids``, in that order, then the server row. Given in
-        ascending order, as the simulator gives them, into strictly ascending
-        node ids, the rows need no sort to be written as CSV; the check compares
-        indices, not node ids. Clients equal to the last round's reuse its block,
-        so a block repeated round after round is checked and stored once."""
-        if round_index < 0:
-            raise EmissionsError(f"round must be >= 0, got {round_index}")
-        clients = tuple(clients)
-        if clients != self._last_round[0]:
-            nodes = (*clients, self._server)
-            # client nodes strictly ascending, from 0 and below the server's index: a repeated
-            # client would interleave its rows
-            self._last_round = (clients, nodes, self._ordered and all(map(operator.lt, (-1, *nodes), nodes)))
-        self._log(round_index, *self._last_round[1:])
+        row = (record.phase, record.duration_s, record.energy_kwh, record.intensity, record.co2eq_g)
+        node = self._node(record.role, record.node_id, (row,))
+        self._log(record.round, np.full((1, 1), node, dtype=np.int32), 1, (), True)
+
+    def add_rounds(self, first_round: int, clients) -> None:
+        """Log rounds from ``first_round``: row ``i`` of ``clients``, a ``(rounds, m)`` integer
+        array of indices into ``node_ids``, holds the clients whose rows round ``first_round +
+        i`` logs before the server row. Rows strictly ascending, as the simulator's, need no
+        sort for the CSV; a client listed twice is logged twice. The array is kept, not copied;
+        one row broadcast down it (``np.broadcast_to``) is checked and counted once."""
+        import numpy as np
+
+        nodes = np.asarray(clients)
+        if nodes.ndim != 2 or nodes.size and nodes.dtype.kind not in "iu" or first_round < 0:
+            raise EmissionsError(f"expected a round >= 0 and a (rounds, m) integer array, got "
+                                 f"{first_round} and shape {nodes.shape} of {nodes.dtype}")
+        nodes, repeats = (nodes[:1], len(nodes)) if len(nodes) > 1 and nodes.strides[0] == 0 else (nodes, 1)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._clients):
+            row, column = np.argwhere((nodes < 0) | (nodes >= self._clients))[0].tolist()
+            raise EmissionsError(f"round {first_round + row}: client index {nodes[row, column]} "
+                                 f"is not in [0, {self._clients})")
+        if not self._server:
+            raise EmissionsError(f"round {first_round}: the log was made without a server row")
+        if len(nodes):
+            ascending = bool((nodes[:, 1:] > nodes[:, :-1]).all())
+            self._log(first_round, nodes.astype(np.int32, copy=False), repeats, self._server, ascending)
 
     def times_logged(self) -> list[int]:
-        """The blocks each node is in, by index into the log's node ids; a simulator log's
-        node ``r`` is client ``clients.node_order[r]``, whose count is also ``clients.counts``."""
-        times = [0] * len(self._rows)
-        for node, count in self._tally()[0].items():
-            times[node] = count
-        return times
+        """The rounds each node is logged in, by index into the log's node ids; a simulator
+        log's node ``r`` is client ``clients.node_order[r]``, whose count is ``clients.counts``."""
+        return self._tally()[0].tolist()
 
-    def set_client_counts(self, times: Mapping[int, int]) -> None:
-        """Tally the blocks so far, all logged by :meth:`add_round`, from ``times``, client
-        node -> blocks it is in, as the caller counted them; a later block drops it."""
-        self._tally({**times, self._server: len(self._blocks)})
+    def _tally(self) -> tuple[np.ndarray, list[tuple[str, tuple, int]]]:
+        """``(times, priced)``: the rounds each node is logged in, by node index, and each
+        distinct ``(role, priced row, times logged)``; recounted only after new batches."""
+        import numpy as np
 
-    def _tally(self, logged: Mapping[int, int] | None = None) -> tuple[Mapping, list[tuple[str, tuple, int]]]:
-        """``(logged, priced)``: the blocks each logged node is in, unless given, and each
-        distinct ``(role, priced row, times logged)``; counted again only after new blocks.
-        A block logged more than once is counted once, times its repeats."""
-        if logged is None and self._tallied[0] != len(self._blocks):
-            logged = Counter()
-            for nodes, times in Counter(nodes for _, nodes in self._blocks).items():
-                logged.update(nodes if times == 1 else {n: k * times for n, k in Counter(nodes).items()})
-        if logged is not None:
+        if self._tallied[0] != len(self._blocks):
+            times = np.zeros(len(self._rows), dtype=np.int64)
+            for _, nodes, repeats, tail in self._blocks:
+                np.add.at(times, nodes.ravel(), repeats)
+                times[list(tail)] += len(nodes) * repeats
+            logged = np.flatnonzero(times)
             priced: dict[tuple, list] = {}
-            for node, times in logged.items():
+            for node, node_times in zip(logged.tolist(), times[logged].tolist()):
                 role = self._roles[node]
                 for row in self._rows[node]:
-                    priced.setdefault((role, id(row)), [role, row, 0])[2] += times
-            self._tallied = (len(self._blocks), (logged, [tuple(e) for e in priced.values()]))
+                    priced.setdefault((role, id(row)), [role, row, 0])[2] += node_times
+            self._tallied = (len(self._blocks), (times, [tuple(e) for e in priced.values()]))
         return self._tallied[1]
 
     def _expanded(self):
         """Every row as a ``ROW_FIELDS`` tuple, in the order logged."""
         roles, node_ids, rows = self._roles, self._node_ids, self._rows
-        return ((round_index, roles[node], node_ids[node], *row)
-                for round_index, nodes in self._blocks for node in nodes for row in rows[node])
+        return ((t, roles[node], node_ids[node], *row)
+                for first, nodes, repeats, tail in self._blocks for i, clients in enumerate(nodes)
+                for t in range(first + i * repeats, first + (i + 1) * repeats)
+                for node in (*clients.tolist(), *tail) for row in rows[node])
 
     def _csv_rows(self):
         # numeric fields break ties so file bytes never depend on insertion order
@@ -281,12 +289,11 @@ class EmissionsLog:
             _, priced = self._tally()
             values = ((role if key == "role" else row[0], _repeated(row[_PRICED_CO2], times))
                       for role, row, times in priced)
-        elif isinstance(key, str):
-            column = ROW_FIELDS.index(key)
-            values = ((row[column], (row[_CO2],)) for row in self._expanded())
         else:
-            view = SimpleNamespace()
-            values = ((vars(view).update(zip(ROW_FIELDS, row)) or key(view), (row[_CO2],))
+            if isinstance(key, str) and key not in ROW_FIELDS:
+                raise EmissionsError(f"unknown column {key!r}; expected one of {', '.join(ROW_FIELDS)}")
+            view, group = SimpleNamespace(), operator.attrgetter(key) if isinstance(key, str) else key
+            values = ((vars(view).update(zip(ROW_FIELDS, row)) or group(view), (row[_CO2],))
                       for row in self._expanded())
         groups: dict = {}
         for k, co2 in values:
@@ -294,28 +301,36 @@ class EmissionsLog:
         return {k: math.fsum(chain.from_iterable(v)) for k, v in groups.items()}
 
     def to_csv_bytes(self) -> bytes:
-        if self._ordered:
-            lines = self._node_lines()
-            rounds = ((t, chain.from_iterable(map(lines.__getitem__, nodes))) for t, nodes in self._blocks)
-        else:
+        import numpy as np
+
+        times, priced = self._tally()
+        logged = np.flatnonzero(times).tolist()
+        clients = [node for node in logged if node not in self._server]
+        widths = {len(self._rows[node]) for node in clients}
+        if not self._ordered or len(widths) > 1:  # sorted, or client nodes of unequal row counts
             rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in rows])
                       for t, rows in groupby(self._csv_rows(), key=_ROUND))
+        else:
+            # a priced row's text formatted once, keyed by identity: 0.0 == -0.0, but they print apart
+            texts = {id(row): f"{row[0]},{_numbers(row[1:])}\n" for _, row, _ in priced}
+            roles, node_ids, rows = self._roles, self._node_ids, self._rows
+
+            def lines(nodes) -> list[str]:  # the CSV lines of ``nodes`` without the round
+                return [f"{roles[node]},{node_ids[node]},{texts[id(row)]}" for node in nodes for row in rows[node]]
+
+            cells = np.empty((len(rows), max(widths, default=0)), dtype=object)  # client lines by node
+            if clients:
+                cells[clients] = np.array(lines(clients), dtype=object).reshape(len(clients), -1)
+            # a batch row by row, never all its lines at once; a row's lines made once for its rounds
+            rounds = ((t, text) for first, nodes, repeats, tail in self._blocks for tail_text in [lines(tail)]
+                      for i, drawn in enumerate(nodes) for text in [cells[drawn].ravel().tolist() + tail_text]
+                      for t in range(first + i * repeats, first + (i + 1) * repeats))
         out = io.BytesIO()
         out.write(f"{CSV_HEADER}\n".encode("utf-8"))
         for round_index, text in rounds:  # one round at a time: never the whole file as one str
             head = f"{round_index},"
             out.write((head + head.join(text)).encode("utf-8"))
         return out.getvalue()
-
-    def _node_lines(self) -> dict[int, tuple[str, ...]]:
-        """Each logged node's CSV lines without the round, one per row."""
-        logged, priced = self._tally()
-        # formatted once per priced row, keyed by identity: 0.0 == -0.0, but they print apart
-        numbers = {id(row): _numbers(row[1:]) for _, row, _ in priced}
-        roles, node_ids, rows = self._roles, self._node_ids, self._rows
-        return {node: tuple(f"{roles[node]},{node_ids[node]},{row[0]},{numbers[id(row)]}\n"
-                            for row in rows[node])
-                for node in logged}
 
 
 def _repeated(value: float, times: int) -> list[float]:

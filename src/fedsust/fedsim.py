@@ -66,11 +66,9 @@ from node id to rounds drawn. The node ids are sorted once per run, by one
 stable argsort of their 8-byte values (16 lowercase hex characters sort as
 the big-endian integer they spell), for the factsheet and for the rounds.
 The run's emissions log holds the clients in that order, node ``r`` for the
-client of node-id rank ``r``, so a round's block is its drawn ranks sorted
-as integers, held as the shared int objects of the node order. The log
-checks once, when it is made, that its node ids strictly ascend, so a fleet
-whose ids collide writes its CSV sorted. Each client's rounds drawn are
-counted from the drawn ranks and handed to the log.
+client of node-id rank ``r``, so each batch of rounds is logged as drawn: an
+int32 array of ranks, each row sorted. A fleet whose ids collide writes its
+CSV sorted. Each client's rounds drawn are the log's count of its node.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -544,11 +542,11 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ``tables`` when absent; pricing resolves each mix entry once, so an
     unresolvable entry fails even when no client gets it. Set-up hashes every
     client once and sorts the node ids once; the log's client nodes are in
-    that order. The rounds are drawn in batches by :func:`_draw_batch`, and each
-    round logs its drawn clients' node-id ranks, sorted; at full participation
-    every round logs one shared block. The selection counts are counted from the
-    drawn ranks and handed to the log. Label splits are drawn for the whole fleet
-    in row blocks, and each class label is hashed once per run.
+    that order. Each batch of rounds drawn by :func:`_draw_batch` is logged as
+    its array of sorted node-id ranks, and a full-participation run as one row
+    broadcast down every round; the selection counts are the log's. Label splits
+    are drawn for the whole fleet in row blocks, and each class label is hashed
+    once per run.
     Every random draw is addressed by the seed and a round or client index,
     so results depend on nothing but ``(config, seed)``.
     """
@@ -557,16 +555,13 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     if prices is None:
         prices = price_fleet(config, tables or ReferenceTables.load())
 
-    n = config.num_clients
-    m = config.sample_size
-    rounds = config.total_rounds
-    seed = config.seed
+    n, m, rounds, seed = config.num_clients, config.sample_size, config.total_rounds, config.seed
     salt = run_salt(seed)
 
     node_ids = [hash_client_id(salt, c) for c in range(n)]
     # 16 lowercase hex characters sort as the big-endian integer they spell
     order = np.argsort(np.frombuffer(bytes.fromhex("".join(node_ids)), dtype=">u8"), kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
+    ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
     ranks[order] = np.arange(n)
     node_order = order.tolist()
     pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
@@ -583,22 +578,12 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         hashed: total for hashed, total in zip(hashed_labels, label_counts.sum(axis=0).tolist()) if total
     }
 
-    # rank r's int object at index r, taken from node_order, so blocks make no new ints
-    shared = np.array(node_order, dtype=object)[ranks]
-    times = np.full(n, rounds if m == n else 0)  # the rounds each rank is drawn in
-    if m == n:  # a full draw: every round's block, no words read
-        block = shared.tolist()
-        for t in range(1, rounds + 1):
-            log.add_round(t, block)
+    if m == n:  # a full draw: every round logs every rank, no words read
+        log.add_rounds(1, np.broadcast_to(np.arange(n, dtype=np.int32), (rounds, n)))
     else:
         for batch, drawn in _batches(seed, rounds, n, m, ranks):
-            times += np.bincount(drawn.ravel(), minlength=n)
-            for t, block in zip(batch, shared[drawn].tolist()):
-                log.add_round(t, block)
-    logged = np.flatnonzero(times)
-    log.set_client_counts(dict(zip(logged.tolist(), times[logged].tolist())))
-
-    counts = times[ranks].tolist()
+            log.add_rounds(batch.start, drawn)
+    counts = list(map(log.times_logged().__getitem__, ranks.tolist()))
     clients = ClientTable(node_ids, node_order, counts, label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,

@@ -789,6 +789,9 @@ class TestSimulate:
                             num_label_classes=12, local_rounds=3, model_size=98_765, seed=2**63 + 5),
         "full": dict(num_clients=40, sample_size=40, total_rounds=25, dataset_size=64,
                      num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 9),
+        # rounds drawn in a batch of 81 (numpy steps) and one of 4 (list swaps)
+        "batches": dict(num_clients=1000, sample_size=800, total_rounds=85, dataset_size=64,
+                        num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 19),
     }
     _WIDE_PINNED = {
         "wide": {
@@ -805,6 +808,11 @@ class TestSimulate:
             "trust_report.json": "aac26a3217f2b3cffe30f6ce3f44efeb771c353316b2d90f71df84185112ce66",
             "factsheet.json": "9753b95d606fd1ef33eaa386fb204ac65bd17139f7a0711f7a6762c12e63f80f",
             "emissions.csv": "2e9a871d87c283d1642c98fb0081efb43f4616c35e71431f3595191e7703e755",
+        },
+        "batches": {
+            "trust_report.json": "12ecab6b818b8b2cc982e3daecafa3f33a73687c0332e842eaf4dc324178cea9",
+            "factsheet.json": "a2fa494da2669a5fc34506a77f0b6d695395e4d8816e8505bc0b1cf1971194f8",
+            "emissions.csv": "175088ec964afadcc6bfef6fb596aebee2b3693eade60feb35fbb379f133f0f8",
         },
     }
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,9 +182,9 @@ class TestEmissionsLog:
                 added.add(EmissionRecord(**dict(zip(ROW_FIELDS, row))))
             in_order, out_of_order = (EmissionsLog(node_ids, client_rows, server_row) for _ in range(2))
             for t in sorted(rounds):
-                in_order.add_round(t, sorted(rounds[t], key=node_ids.__getitem__))
+                in_order.add_rounds(t, [sorted(rounds[t], key=node_ids.__getitem__)])
             for t in rng.sample(sorted(rounds), len(rounds)):
-                out_of_order.add_round(t, rounds[t])
+                out_of_order.add_rounds(t, [rounds[t]])
             for log in (in_order, out_of_order):
                 assert log.to_csv_bytes() == added.to_csv_bytes()
                 assert log.sorted_records() == added.sorted_records()
@@ -209,7 +210,7 @@ class TestEmissionsLog:
             node_ids[3] = node_ids[4]
         log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
         for t, clients in rounds.items():
-            log.add_round(t, clients)
+            log.add_rounds(t, [clients])
             for c in clients:
                 for row in client_rows[c]:
                     added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
@@ -218,53 +219,74 @@ class TestEmissionsLog:
         assert log.to_csv_bytes() == added.to_csv_bytes()
         assert log.sorted_records() == added.sorted_records()
 
-    def test_repeated_rounds_share_a_block_and_count_alike(self):
-        # clients equal to the last round's share its block, counted once times its repeats;
-        # a client listed twice in a round is counted twice, as one add() per row counts it
+    def test_repeated_rounds_and_clients_count_alike(self):
+        # a row broadcast down a batch counts once per round, as a copied batch and one add()
+        # per row count it; a client listed twice in a round is counted twice
         training = ("training", 2.5, 0.125, 32.0, 4.0)
         client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
         server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
         node_ids = ["b7", "0c", "e1"]
         full = (1, 0, 2)  # node-id order
-        rounds = [(t, full) for t in range(1, 5)] + [(5, [0, 0, 2]), (6, [0, 0, 2]), (7, [2])]
-        log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
-        for t, clients in rounds:
-            log.add_round(t, clients)
-            for c in clients:
-                for row in client_rows[c]:
-                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
-            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
-        assert len({id(nodes) for _, nodes in log._blocks}) == 3
-        assert log.times_logged() == [8, 4, 7, 7]
-        assert log.to_csv_bytes() == added.to_csv_bytes()
-        assert len(log) == len(added)
-        assert log.total_energy_kwh() == added.total_energy_kwh()
-        assert log.total_co2eq_g() == added.total_co2eq_g()
-        for key in ("phase", "role"):
-            assert log.co2eq_by(key) == added.co2eq_by(key)
+        batches = [(1, np.broadcast_to(np.array(full, dtype=np.int32), (4, 3))),
+                   (5, [[0, 0, 2], [0, 0, 2]]), (7, [[2]])]
+        log, copied, added = (EmissionsLog(node_ids, client_rows, server_row) for _ in range(3))
+        for first, clients in batches:
+            log.add_rounds(first, clients)
+            copied.add_rounds(first, np.array(clients))
+            for t, drawn in enumerate(clients, first):
+                for c in drawn:
+                    for row in client_rows[c]:
+                        added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+                added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
+        assert log.times_logged() == copied.times_logged() == [8, 4, 7, 7]
+        for other in (copied, added):
+            assert log.records == other.records
+            assert log.to_csv_bytes() == other.to_csv_bytes()
+            assert len(log) == len(other)
+            assert log.total_energy_kwh() == other.total_energy_kwh()
+            assert log.total_co2eq_g() == other.total_co2eq_g()
+            for key in ("phase", "role"):
+                assert log.co2eq_by(key) == other.co2eq_by(key)
 
-    def test_handed_client_counts_tally_as_the_blocks_do(self):
-        # the simulator hands in the counts it took from its drawn ranks; a later block recounts
+    def test_a_batch_tallies_as_its_rounds_one_by_one(self):
+        # a batch of rounds is counted in one step; a later batch recounts
         training = ("training", 2.5, 0.125, 32.0, 4.0)
         client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
         server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
-        rounds = [(1, [0, 2]), (2, [1]), (3, [0, 2]), (4, [0, 1, 2])]
-        counted, handed = (EmissionsLog(["0c", "b7", "e1"], client_rows, server_row) for _ in range(2))
-        for t, clients in rounds:
-            counted.add_round(t, clients)
-            handed.add_round(t, clients)
-        handed.set_client_counts({0: 3, 1: 2, 2: 3})
-        for extra in (None, [1]):
+        rounds = [[0, 2], [1, 2], [0, 2], [0, 1]]
+        one_by_one, batched = (EmissionsLog(["0c", "b7", "e1"], client_rows, server_row) for _ in range(2))
+        for t, clients in enumerate(rounds, 1):
+            one_by_one.add_rounds(t, [clients])
+        batched.add_rounds(1, rounds)
+        for extra in (None, [[1, 2]]):
             if extra:
-                counted.add_round(5, extra)
-                handed.add_round(5, extra)
-            assert handed.times_logged() == counted.times_logged()
-            assert handed.to_csv_bytes() == counted.to_csv_bytes()
-            assert len(handed) == len(counted)
-            assert handed.total_co2eq_g() == counted.total_co2eq_g()
+                one_by_one.add_rounds(5, extra)
+                batched.add_rounds(5, extra)
+            assert batched.times_logged() == one_by_one.times_logged()
+            assert batched.records == one_by_one.records
+            assert batched.to_csv_bytes() == one_by_one.to_csv_bytes()
+            assert len(batched) == len(one_by_one)
+            assert batched.total_co2eq_g() == one_by_one.total_co2eq_g()
             for key in ("phase", "role"):
-                assert handed.co2eq_by(key) == counted.co2eq_by(key)
-        assert counted.times_logged() == [3, 3, 3, 5]
+                assert batched.co2eq_by(key) == one_by_one.co2eq_by(key)
+        assert one_by_one.times_logged() == [3, 3, 4, 5]
+
+    @pytest.mark.parametrize("clients, index", [([[0, 1], [-1, 2]], -1), ([[0, 1], [2, 3]], 3)])
+    def test_client_index_out_of_range_names_round_and_index(self, clients, index):
+        log = EmissionsLog(["0c", "b7", "e1"], [(("training", 2.5, 0.125, 32.0, 4.0),)] * 3,
+                           ("aggregation", 1.0, 0.25, 32.0, 8.0))
+        with pytest.raises(EmissionsError, match=rf"round 8: client index {index} is not in \[0, 3\)"):
+            log.add_rounds(7, clients)
+        assert log.times_logged() == [0, 0, 0, 0]
+
+    def test_rounds_need_a_server_row(self):
+        log = EmissionsLog(["0c"], [(("training", 2.5, 0.125, 32.0, 4.0),)])
+        with pytest.raises(EmissionsError, match="round 4: the log was made without a server row"):
+            log.add_rounds(4, [[0]])
+
+    def test_unknown_column_names_the_accepted_ones(self):
+        with pytest.raises(EmissionsError, match="unknown column 'country'; expected one of round, role, "):
+            random_log(18, n=5).co2eq_by("country")
 
     def test_field_name_and_callable_keys_group_alike(self):
         log = random_log(17)

@@ -420,7 +420,7 @@ class TestRunFederation:
         for cap in (1 << 16, 9 * 4 * ((m + 3) // 4), 1):
             monkeypatch.setattr(fedsim, "_BATCH_WORDS", cap)
             state = run_federation(config, tables)
-            runs.append(([(t, tuple(nodes)) for t, nodes in state.emissions._blocks],
+            runs.append((state.emissions.records, state.emissions.times_logged(),
                          state.clients.counts, state.emissions.to_csv_bytes()))
         assert runs[0] == runs[1] == runs[2]
 
