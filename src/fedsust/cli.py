@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, check_seed, load_scenario
@@ -126,7 +125,7 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
         )
     config = load_scenario(config_path)
     if args.seed is not None:
-        config = replace(config, seed=check_seed(args.seed))
+        config = config._replace(seed=check_seed(args.seed))
     weights = load_weight_config(args.weights) if args.weights else {}
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}

@@ -33,8 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "ConfigError",
@@ -73,9 +73,35 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Knobs of the TDP-based energy estimator.
+class FrozenRecord:
+    """Base of an immutable record held in ``__slots__``: its ``__init__`` sets each field
+    once through ``object.__setattr__``, and it compares, hashes and prints by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setstate__(self, state: tuple) -> None:  # copy and pickle restore the fields here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class EnergyModel(NamedTuple):
+    """Knobs of the TDP-based energy estimator; :func:`parse_config` checks a scenario's.
 
     ``cpu_utilization`` scales TDP during training and aggregation (1.0 is
     the conservative ceiling). ``idle_fraction`` is the TDP fraction drawn by
@@ -94,29 +120,13 @@ class EnergyModel:
     train_seconds_per_unit: float = 1e-3
     agg_seconds_per_unit: float = 1e-4
 
-    def __post_init__(self) -> None:
-        _check_unit("energy_model.cpu_utilization", self.cpu_utilization)
-        _check_unit("energy_model.idle_fraction", self.idle_fraction)
-        if not math.isfinite(self.comm_energy_per_byte) or self.comm_energy_per_byte < 0:
-            raise ConfigError("field 'energy_model.comm_energy_per_byte' must be >= 0")
-        for name in ("train_seconds_per_unit", "agg_seconds_per_unit"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"field 'energy_model.{name}' must be >= 0")
-
     def effective_utilization(self) -> float:
         base = self.cpu_utilization
         return min(1.0, base + self.idle_fraction * (1.0 - base))
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ConfigError(f"field {name!r} must lie in [0, 1], got {value!r}")
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """A complete federation scenario.
+class FederationConfig(NamedTuple):
+    """A complete federation scenario, as :func:`parse_config` validated it.
 
     ``client_hardware`` and ``client_locations`` are share-weighted mixes,
     each a tuple of ``(share, value)`` pairs with shares summing to 1.
@@ -134,12 +144,12 @@ class FederationConfig:
     client_locations: tuple[tuple[float, str], ...]
     server_hardware: str
     server_location: str
-    seed: int = 0
-    energy_model: EnergyModel = field(default_factory=EnergyModel)
-    score_overrides: dict[str, float] = field(default_factory=dict)
-    num_label_classes: int = 10
-    statistics: dict = field(default_factory=dict)
-    description: str = ""
+    seed: int
+    energy_model: EnergyModel
+    score_overrides: dict[str, float]
+    num_label_classes: int
+    statistics: dict
+    description: str
 
 
 def load_scenario(path: str | Path) -> FederationConfig:
@@ -212,8 +222,9 @@ def _finite_number(text: str) -> float:
 
 
 def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig:
-    """Validate a scenario mapping and return the frozen config."""
-    unknown = sorted(set(data) - {f.name for f in fields(FederationConfig)} - {"notes"})
+    """Validate a scenario mapping and return the immutable config: the one place that
+    checks scenario values, those of the energy model included."""
+    unknown = sorted(set(data) - {*FederationConfig._fields, "notes"})
     if unknown:
         raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
 
@@ -238,12 +249,19 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     energy_raw = data.get("energy_model", {})
     if not isinstance(energy_raw, dict):
         raise ConfigError("field 'energy_model' must be an object")
-    unknown = sorted(set(energy_raw) - {f.name for f in fields(EnergyModel)})
+    unknown = sorted(set(energy_raw) - set(EnergyModel._fields))
     if unknown:
         raise ConfigError(f"field 'energy_model' has unknown sub-field(s): {', '.join(unknown)}")
     for key, value in energy_raw.items():
         require_number(value, f"field 'energy_model.{key}'", ConfigError)
     energy = EnergyModel(**energy_raw)
+    for name in ("cpu_utilization", "idle_fraction"):
+        value = getattr(energy, name)
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"field 'energy_model.{name}' must lie in [0, 1], got {value!r}")
+    for name in ("comm_energy_per_byte", "train_seconds_per_unit", "agg_seconds_per_unit"):
+        if not 0.0 <= getattr(energy, name) < math.inf:
+            raise ConfigError(f"field 'energy_model.{name}' must be >= 0")
 
     overrides_raw = data.get("score_overrides", {})
     if not isinstance(overrides_raw, dict):
@@ -413,6 +431,6 @@ def _parse_mix(data: dict, name: str, value_key: str, num_clients: int) -> tuple
 
 def config_digest(config: FederationConfig) -> str:
     """Stable SHA-256 digest of the validated configuration."""
-    payload = asdict(config)
+    payload = {**config._asdict(), "energy_model": config.energy_model._asdict()}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -6,7 +6,7 @@ utilization for ``duration`` seconds consumes
 ``energy_kwh * grid_intensity`` grams of CO2eq. Rows accumulate in an
 :class:`EmissionsLog` of batches of rounds; the persisted CSV is in
 ``(round, role, node_id, phase)`` order so the file bytes are deterministic
-no matter in which order rows were added.
+no matter in which order rows were added. An :class:`EmissionRecord` is immutable.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import io
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, groupby
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .config import EnergyModel
+from .config import EnergyModel, FrozenRecord
 from .refdata import HardwareProfile
 
 if TYPE_CHECKING:
@@ -84,29 +83,31 @@ def energy_to_co2(energy_kwh: float, intensity: float) -> float:
     return _check(energy_kwh, "energy") * _check(intensity, "intensity")
 
 
-@dataclass(frozen=True)
-class EmissionRecord:
+class EmissionRecord(FrozenRecord):
     """One tracked phase of one node in one round."""
 
-    node_id: str
-    role: str
-    phase: str
-    round: int
-    duration_s: float
-    energy_kwh: float
-    intensity: float
-    co2eq_g: float
+    __slots__ = ("node_id", "role", "phase", "round", "duration_s", "energy_kwh", "intensity", "co2eq_g")
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise EmissionsError(f"unknown role {self.role!r}")
-        if self.phase not in PHASES:
-            raise EmissionsError(f"unknown phase {self.phase!r}")
-        if self.round < 0:
-            raise EmissionsError(f"round must be >= 0, got {self.round}")
-        _check(self.duration_s, "duration")
-        _check(self.energy_kwh, "energy")
-        _check(self.intensity, "intensity")
+    def __init__(self, node_id: str, role: str, phase: str, round: int, duration_s: float,
+                 energy_kwh: float, intensity: float, co2eq_g: float) -> None:
+        if role not in ROLES:
+            raise EmissionsError(f"unknown role {role!r}")
+        if phase not in PHASES:
+            raise EmissionsError(f"unknown phase {phase!r}")
+        if round < 0:
+            raise EmissionsError(f"round must be >= 0, got {round}")
+        _check(duration_s, "duration")
+        _check(energy_kwh, "energy")
+        _check(intensity, "intensity")
+        init = object.__setattr__
+        init(self, "node_id", node_id)
+        init(self, "role", role)
+        init(self, "phase", phase)
+        init(self, "round", round)
+        init(self, "duration_s", duration_s)
+        init(self, "energy_kwh", energy_kwh)
+        init(self, "intensity", intensity)
+        init(self, "co2eq_g", co2eq_g)
 
 
 def track_phase(
@@ -222,7 +223,7 @@ class EmissionsLog:
 
     def times_logged(self) -> list[int]:
         """The rounds each node is logged in, by index into the log's node ids; a simulator
-        log's node ``r`` is client ``clients.node_order[r]``, whose count is ``clients.counts``."""
+        log's node ``r`` is client ``clients.node_order[r]``, counted in ``clients.counts[r]``."""
         return self._tally()[0].tolist()
 
     def _tally(self) -> tuple[np.ndarray, list[tuple[str, tuple, int]]]:
@@ -235,12 +236,19 @@ class EmissionsLog:
             for _, nodes, repeats, tail in self._blocks:
                 np.add.at(times, nodes.ravel(), repeats)
                 times[list(tail)] += len(nodes) * repeats
-            logged = np.flatnonzero(times)
+            # logged clients sharing a priced-rows tuple are one group, counted exactly in float64
+            clients = np.flatnonzero(times[:self._clients])
+            shared = [*map(self._rows.__getitem__, clients.tolist())]
+            _, first, group = np.unique(np.fromiter(map(id, shared), np.uintp, len(shared)),
+                                        return_index=True, return_inverse=True)
+            counts = np.bincount(group, times[clients]).tolist()
+            counted = [("client", shared[first[g]], counts[g]) for g in np.argsort(first).tolist()]
+            others = np.flatnonzero(times[self._clients:]) + self._clients  # the server and added nodes
+            counted += [(self._roles[node], self._rows[node], times[node]) for node in others.tolist()]
             priced: dict[tuple, list] = {}
-            for node, node_times in zip(logged.tolist(), times[logged].tolist()):
-                role = self._roles[node]
-                for row in self._rows[node]:
-                    priced.setdefault((role, id(row)), [role, row, 0])[2] += node_times
+            for role, rows, count in counted:
+                for row in rows:
+                    priced.setdefault((role, id(row)), [role, row, 0])[2] += int(count)
             self._tallied = (len(self._blocks), (times, [tuple(e) for e in priced.values()]))
         return self._tallied[1]
 

@@ -57,18 +57,20 @@ Synthetic label splits come from one run-wide Philox4x64-10 stream
 
 Client records
 --------------
-Every client is hashed once per run, by :func:`hash_client_id` under
-:func:`run_salt`. The node id of a client's emission rows is also its key in
-the factsheet. Per-client data is held in columns, one row per client index,
-by :class:`ClientTable`; the factsheet's writer formats each client's entry
-from those columns, and :class:`SelectionCounts` reads them as a mapping
-from node id to rounds drawn. The node ids are sorted once per run, by one
-stable argsort of their 8-byte values (16 lowercase hex characters sort as
-the big-endian integer they spell), for the factsheet and for the rounds.
+Every client is hashed once per run under :func:`run_salt`, by one
+:func:`hash_client_ids` pass over the fleet. The node id of a client's
+emission rows is also its key in the factsheet. Per-client data is held in
+columns by :class:`ClientTable`, an immutable class with ``__slots__``; the
+factsheet's writer formats each client's entry from those columns, and
+:class:`SelectionCounts` reads them as a mapping from node id to rounds
+drawn. The node ids are sorted once per run, by one stable argsort of their
+8-byte values (16 lowercase hex characters sort as the big-endian integer
+they spell), for the factsheet and for the rounds.
 The run's emissions log holds the clients in that order, node ``r`` for the
 client of node-id rank ``r``, so each batch of rounds is logged as drawn: an
 int32 array of ranks, each row sorted. A fleet whose ids collide writes its
-CSV sorted. Each client's rounds drawn are the log's count of its node.
+CSV sorted. Each client's rounds drawn are the log's count of its node, and
+the table holds those counts as the log does, in node-id order.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -89,15 +91,12 @@ array.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .config import ConfigError, FederationConfig
+from .config import ConfigError, FederationConfig, FrozenRecord
 from .emissions import EmissionsLog, energy_to_co2, estimate_energy
 # track_phase is unused here; bench/tracer.py patches fedsim.track_phase
 from .emissions import track_phase  # noqa: F401
@@ -105,8 +104,6 @@ from .refdata import ReferenceTables
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ClientTable",
@@ -118,6 +115,7 @@ __all__ = [
     "client_class_counts",
     "fleet_class_counts",
     "hash_client_id",
+    "hash_client_ids",
     "hash_label",
     "price_fleet",
     "run_federation",
@@ -287,6 +285,19 @@ def hash_client_id(salt: bytes, client_index: int) -> str:
     return hashlib.sha256(salt + b"client:" + client_index.to_bytes(8, "big")).hexdigest()[:16]
 
 
+def hash_client_ids(salt: bytes, num_clients: int) -> list[str]:
+    """:func:`hash_client_id` of clients ``0 .. num_clients - 1``, in one pass: the salted
+    prefix is hashed once and copied per client, and the digests are hex-encoded at once."""
+    prefix = hashlib.sha256(salt + b"client:")
+    digests = []
+    for c in range(num_clients):
+        digest = prefix.copy()
+        digest.update(c.to_bytes(8, "big"))
+        digests.append(digest.digest()[:8])
+    text = b"".join(digests).hex()
+    return [text[i:i + 16] for i in range(0, len(text), 16)]
+
+
 def hash_label(salt: bytes, label: str) -> str:
     """Salted hash under which a class label appears in any output."""
     return hashlib.sha256(salt + b"label:" + label.encode("utf-8")).hexdigest()[:16]
@@ -358,36 +369,46 @@ def client_class_counts(seed: int, client_index: int, dataset_size: int, num_cla
     return {f"class_{j}": int(v) for j, v in enumerate(row) if v > 0}
 
 
-@dataclass(frozen=True, eq=False)
-class ClientTable:
+class ClientTable(FrozenRecord):
     """Per-client columns of a run, row ``c`` for client index ``c``.
 
-    ``node_ids[c]`` is the client's salted hash, ``counts[c]`` the rounds it
-    was drawn in, and ``class_counts[c, j]`` its samples of class ``j``,
-    whose salted hash is ``labels[j]``; ``node_order`` lists the rows sorted
-    by node id, the factsheet's order. With the run's ``rounds``,
-    ``dataset_size`` and per-round ``train_s`` these determine the client's
-    factsheet entry: ``participation_rate`` is ``counts[c] / rounds``, and
-    ``avg_training_time_s`` is ``train_s`` summed ``counts[c]`` times and
-    divided by ``counts[c]`` (0.0 for a client never drawn).
+    ``node_ids[c]`` is the client's salted hash, ``class_counts[c, j]`` its
+    samples of class ``j``, whose salted hash is ``labels[j]``; ``node_order``
+    lists the rows sorted by node id, the factsheet's order, and ``counts[r]``
+    is the rounds client ``node_order[r]`` was drawn in. With the run's
+    ``rounds``, ``dataset_size`` and per-round ``train_s`` these determine its
+    factsheet entry: ``participation_rate`` is its count over ``rounds``, and
+    ``avg_training_time_s`` is ``train_s`` summed count times and divided by
+    the count (0.0 if never drawn). A table compares and hashes by identity.
     """
 
-    node_ids: list[str]
-    node_order: list[int]
-    counts: list[int]
-    class_counts: np.ndarray
-    labels: list[str]
-    rounds: int
-    dataset_size: int
-    train_s: float
+    __slots__ = ("node_ids", "node_order", "counts", "class_counts", "labels", "rounds", "dataset_size",
+                 "train_s", "_row_of")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, node_ids: list[str], node_order: list[int], counts: list[int], class_counts,
+                 labels: list[str], rounds: int, dataset_size: int, train_s: float) -> None:
+        init = object.__setattr__
+        init(self, "node_ids", node_ids)
+        init(self, "node_order", node_order)
+        init(self, "counts", counts)
+        init(self, "class_counts", class_counts)
+        init(self, "labels", labels)
+        init(self, "rounds", rounds)
+        init(self, "dataset_size", dataset_size)
+        init(self, "train_s", train_s)
+        init(self, "_row_of", None)
 
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    @cached_property
+    @property
     def row_of(self) -> dict[str, int]:
-        """Node id -> row, built on first use."""
-        return {node_id: c for c, node_id in enumerate(self.node_ids)}
+        """Node id -> its row of ``counts``, its position in ``node_order``; built on first use."""
+        if self._row_of is None:
+            object.__setattr__(self, "_row_of", {self.node_ids[c]: r for r, c in enumerate(self.node_order)})
+        return self._row_of
 
 
 class SelectionCounts(Mapping):
@@ -406,7 +427,6 @@ class SelectionCounts(Mapping):
         return self.table.counts[self.table.row_of[node_id]]
 
 
-@dataclass
 class FederationState:
     """Final simulator state after the last round.
 
@@ -416,10 +436,14 @@ class FederationState:
     salted hash to its fleet-wide sample count, zero counts omitted.
     """
 
-    round: int
-    class_distribution: dict[str, int]
-    emissions: EmissionsLog
-    clients: ClientTable
+    __slots__ = ("round", "class_distribution", "emissions", "clients")
+
+    def __init__(self, round: int, class_distribution: dict[str, int], emissions: EmissionsLog,
+                 clients: ClientTable) -> None:
+        self.round = round
+        self.class_distribution = class_distribution
+        self.emissions = emissions
+        self.clients = clients
 
     @property
     def selection_counts(self) -> SelectionCounts:
@@ -457,8 +481,7 @@ def _finite(value: float, phase: str, quantity: str, run_fields: str = "") -> fl
     return value
 
 
-@dataclass(frozen=True)
-class FleetPrices:
+class FleetPrices(NamedTuple):
     """What :func:`price_fleet` resolved and priced: the client mixes with each entry's
     TDP and grid intensity, a client's rows in CSV order for each (TDP, intensity) pair,
     the training duration, and the server's aggregation row, each row
@@ -558,7 +581,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     n, m, rounds, seed = config.num_clients, config.sample_size, config.total_rounds, config.seed
     salt = run_salt(seed)
 
-    node_ids = [hash_client_id(salt, c) for c in range(n)]
+    node_ids = hash_client_ids(salt, n)
     # 16 lowercase hex characters sort as the big-endian integer they spell
     order = np.argsort(np.frombuffer(bytes.fromhex("".join(node_ids)), dtype=">u8"), kind="stable")
     ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
@@ -573,7 +596,10 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]
     if len(set(hashed_labels)) < len(hashed_labels):
-        logger.warning("label hash collision: two of the %d class labels map to one hash", len(labels))
+        import logging  # only here, so no command that runs without a collision loads it
+
+        logging.getLogger(__name__).warning(
+            "label hash collision: two of the %d class labels map to one hash", len(labels))
     class_distribution = {
         hashed: total for hashed, total in zip(hashed_labels, label_counts.sum(axis=0).tolist()) if total
     }
@@ -583,8 +609,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     else:
         for batch, drawn in _batches(seed, rounds, n, m, ranks):
             log.add_rounds(batch.start, drawn)
-    counts = list(map(log.times_logged().__getitem__, ranks.tolist()))
-    clients = ClientTable(node_ids, node_order, counts, label_counts, hashed_labels,
+    clients = ClientTable(node_ids, node_order, log.times_logged()[:n], label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,
                            clients=clients)

@@ -17,19 +17,16 @@ variable at a directory with the same file names:
     resolve node addresses without any network call.
 
 Loading is total: every row parses or the loader raises naming the file,
-row number, and column.
+row number, and column. The records are immutable ``typing.NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
-
-logger = logging.getLogger(__name__)
+from typing import NamedTuple
 
 __all__ = [
     "GridIntensityTable",
@@ -83,8 +80,7 @@ def normalize_model_name(model: str) -> str:
     return " ".join(model.split()).lower()
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
+class HardwareProfile(NamedTuple):
     """One processor row: benchmark mark, TDP watts, and marks per watt."""
 
     model: str
@@ -162,8 +158,7 @@ class LocationResolver:
         raise UnresolvableLocationError(f"unresolvable location {addr!r}")
 
 
-@dataclass(frozen=True)
-class ReferenceTables:
+class ReferenceTables(NamedTuple):
     """The three loaded datasets, immutable after load."""
 
     grid: GridIntensityTable
@@ -234,7 +229,6 @@ def load_grid_intensity(path: str | Path) -> GridIntensityTable:
         if code in entries:
             raise ReferenceDataError(f"{path}: row {line_no}: duplicate country code {code}")
         entries[code] = _parse_float(path, line_no, "intensity_gco2_per_kwh", row[1])
-    logger.debug("loaded %d grid intensities from %s", len(entries), path)
     return GridIntensityTable(entries)
 
 
@@ -269,7 +263,6 @@ def load_hardware(path: str | Path) -> HardwareTable:
         profiles[key] = HardwareProfile(
             model=model, kind=kind, benchmark=benchmark, tdp=tdp, power_performance=derived
         )
-    logger.debug("loaded %d hardware profiles from %s", len(profiles), path)
     return HardwareTable(profiles)
 
 

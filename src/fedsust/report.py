@@ -398,7 +398,7 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
     if table not in quoted:
         quoted[table] = np.array([*map(encode_basestring, map(table.node_ids.__getitem__, table.node_order))],
                                  dtype=object)
-    distinct, which = np.unique(np.array(table.counts)[table.node_order], return_inverse=True)
+    distinct, which = np.unique(table.counts, return_inverse=True)
     if table is value:
         heads, tails = [], []
         seconds, summed = 0.0, 0

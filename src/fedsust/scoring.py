@@ -5,6 +5,7 @@ normalization rule maps into [0, 1], and every interior node (notion,
 pillar, root) scores the weighted mean of its children. All arithmetic
 runs at full float precision; two-decimal rounding happens only when a
 value is rendered for display (see :func:`fedsust.report.display_score`).
+Nodes and rules are ``__slots__`` classes that check their fields when made.
 
 Normalization variants:
 
@@ -26,9 +27,8 @@ Normalization variants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
-from .config import check_weights, read_json, require_number
+from .config import FrozenRecord, check_weights, read_json, require_number
 
 __all__ = [
     "CARBON_INTENSITY_RULE",
@@ -145,22 +145,24 @@ def _check_anchors(anchors: tuple[tuple[float, float], ...]) -> None:
         raise ScoreError(f"anchor score {anchors[-1][1]} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class NormalizationRule:
+class NormalizationRule(FrozenRecord):
     """One of the named mappings from a raw metric value into [0, 1]."""
 
-    variant: str
-    lo: float = 0.0
-    hi: float = 1.0
-    anchors: tuple[tuple[float, float], ...] = ()
+    __slots__ = ("variant", "lo", "hi", "anchors")
 
-    def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ScoreError(f"unknown normalization variant {self.variant!r}")
-        if self.variant in ("linear-inverse", "linear-direct") and not self.lo < self.hi:
-            raise ScoreError(f"invalid bounds: lo ({self.lo}) must be < hi ({self.hi})")
-        if self.variant == "log-bucket":
-            _check_anchors(self.anchors)
+    def __init__(self, variant: str, lo: float = 0.0, hi: float = 1.0,
+                 anchors: tuple[tuple[float, float], ...] = ()) -> None:
+        if variant not in _VARIANTS:
+            raise ScoreError(f"unknown normalization variant {variant!r}")
+        if variant in ("linear-inverse", "linear-direct") and not lo < hi:
+            raise ScoreError(f"invalid bounds: lo ({lo}) must be < hi ({hi})")
+        if variant == "log-bucket":
+            _check_anchors(anchors)
+        init = object.__setattr__
+        init(self, "variant", variant)
+        init(self, "lo", lo)
+        init(self, "hi", hi)
+        init(self, "anchors", anchors)
 
     def apply(self, value: float) -> float:
         if self.variant == "linear-inverse":
@@ -192,7 +194,6 @@ SELECTION_RULE = NormalizationRule("selection-rate")
 IDENTITY_RULE = NormalizationRule("identity")
 
 
-@dataclass
 class ScoreNode:
     """A node of the metric -> notion -> pillar -> trust tree.
 
@@ -200,23 +201,26 @@ class ScoreNode:
     which is also the key used by weight files and score overrides.
     """
 
-    id: str
-    kind: str
-    weight: float = 1.0
-    rule: NormalizationRule | None = None
-    children: list["ScoreNode"] = field(default_factory=list)
-    raw: float | None = None
-    score: float | None = None
-    overridden: bool = False
-    renormalized: bool = False
+    __slots__ = ("id", "kind", "weight", "rule", "children", "raw", "score", "overridden", "renormalized")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ScoreError(f"unknown node kind {self.kind!r} for {self.id!r}")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ScoreError(f"weight of {self.id!r} must lie in [0, 1], got {self.weight}")
-        if self.kind == KIND_METRIC and self.children:
-            raise ScoreError(f"metric node {self.id!r} cannot have children")
+    def __init__(self, id: str, kind: str, weight: float = 1.0, rule: NormalizationRule | None = None,
+                 children: list[ScoreNode] | None = None, raw: float | None = None,
+                 score: float | None = None, overridden: bool = False, renormalized: bool = False) -> None:
+        if kind not in _KINDS:
+            raise ScoreError(f"unknown node kind {kind!r} for {id!r}")
+        if not 0.0 <= weight <= 1.0:
+            raise ScoreError(f"weight of {id!r} must lie in [0, 1], got {weight}")
+        if kind == KIND_METRIC and children:
+            raise ScoreError(f"metric node {id!r} cannot have children")
+        self.id = id
+        self.kind = kind
+        self.weight = weight
+        self.rule = rule
+        self.children = [] if children is None else children
+        self.raw = raw
+        self.score = score
+        self.overridden = overridden
+        self.renormalized = renormalized
 
     def walk(self):
         yield self
@@ -266,14 +270,14 @@ def _score(node: ScoreNode, overrides: dict[str, float], allow_partial: bool, to
 
     if node.kind == KIND_METRIC:
         if pinned:
-            return replace(node, score=override, overridden=True, children=[])
+            return _copy(node, [], node.weight, override, True)
         if node.raw is None:
             if tolerant or allow_partial:
-                return replace(node, score=None, children=[])
+                return _copy(node, [], node.weight, None, node.overridden)
             raise MissingMetricError(f"metric {node.id!r} has no raw value")
         if node.rule is None:
             raise ScoreError(f"metric {node.id!r} has no normalization rule")
-        return replace(node, score=node.rule.apply(node.raw), children=[])
+        return _copy(node, [], node.weight, node.rule.apply(node.raw), node.overridden)
 
     if not node.children:
         raise ScoreError(f"{node.kind} node {node.id!r} has no children")
@@ -281,8 +285,7 @@ def _score(node: ScoreNode, overrides: dict[str, float], allow_partial: bool, to
     check_weights([child.weight for child in node.children], f"child weights of {node.id!r}", ScoreError)
 
     kids = [_score(child, overrides, allow_partial, tolerant or pinned) for child in node.children]
-    out = replace(node)
-    out.children = kids
+    out = _copy(node, kids, node.weight, node.score, node.overridden)
     if pinned:
         out.score = override
         out.overridden = True
@@ -360,6 +363,12 @@ def apply_weights(node: ScoreNode, weights: dict[str, float]) -> ScoreNode:
 
 
 def _reweight(node: ScoreNode, weights: dict[str, float]) -> ScoreNode:
-    out = replace(node, weight=weights.get(node.id, node.weight))
+    out = _copy(node, node.children, weights.get(node.id, node.weight), node.score, node.overridden)
     out.children = [_reweight(child, weights) for child in node.children]
     return out
+
+
+def _copy(node: ScoreNode, children: list, weight: float, score: float | None, overridden: bool) -> ScoreNode:
+    """``node`` with these fields replaced, checked as a new node is."""
+    return ScoreNode(node.id, node.kind, weight, node.rule, children, node.raw, score, overridden,
+                     node.renormalized)

@@ -9,6 +9,7 @@ Three notions make up the pillar:
 * federation complexity -- six raw configuration scalars (global rounds,
   clients, selection rate, local rounds, dataset size, model size).
 
+Each assessment is an immutable ``typing.NamedTuple`` of raw values.
 Default weights: metrics weigh equally within a notion; the notions weigh
 0.5 (carbon) / 0.25 (hardware) / 0.25 (complexity) within the pillar. All
 weights can be replaced through a weight file (see
@@ -18,7 +19,7 @@ weights can be replaced through a weight file (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import FederationConfig
 from .refdata import GridIntensityTable, HardwareTable, LocationResolver
@@ -55,24 +56,21 @@ DEFAULT_NOTION_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class CarbonIntensityAssessment:
+class CarbonIntensityAssessment(NamedTuple):
     """Grid carbon intensity of the federation, gCO2eq/kWh."""
 
     client_avg: float
     server: float
 
 
-@dataclass(frozen=True)
-class HardwareAssessment:
+class HardwareAssessment(NamedTuple):
     """Performance per watt of the federation's processors, marks/W."""
 
     client_avg_pp: float
     server_pp: float
 
 
-@dataclass(frozen=True)
-class ComplexityAssessment:
+class ComplexityAssessment(NamedTuple):
     """The six raw federation-complexity drivers."""
 
     global_rounds: int

@@ -1006,6 +1006,21 @@ def test_only_simulate_loads_numpy(tmp_path, scenario_dir, pillar_dir):
     assert (tmp_path / "factsheet.json").exists()
 
 
+def test_cold_import_skips_dataclasses_inspect_and_logging():
+    # every command starts by importing fedsust.cli in a fresh process; these three modules
+    # would cost it about a third of its import time
+    script = textwrap.dedent("""
+        import sys
+        import fedsust.cli
+        loaded = sorted({"dataclasses", "inspect", "logging"} & set(sys.modules))
+        assert not loaded, loaded
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch, uc):
     assert main(["validate", "--config", uc("uc_a")]) == 0
     added = []

@@ -43,6 +43,25 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# config_digest of each bundled scenario, as given and with seed 7
+_PINNED_DIGESTS = {
+    "desk_scale_1000": ("sha256:ded349f5e986be975a28b40ecf3f39d755cf22e119649a2a1602208b308b4377",
+                        "sha256:ded349f5e986be975a28b40ecf3f39d755cf22e119649a2a1602208b308b4377"),
+    "proposal_a": ("sha256:738ae7f5c56953eef9b585b649b3d62de73ef77719f1fd16214c10f15933000d",
+                   "sha256:5d4d0c83d6bcf551f7f06c5dfff90516026cd1136ccc98025c0490d218c5fc39"),
+    "proposal_b": ("sha256:b3c4734387d8f5d4cad41e0bec30ec3dd3c9b232e52f9eb7a632ce325be2d7f0",
+                   "sha256:f08953591c8add988dea8ceea00a640c886c2ccffac81fab44139c0d877c7bca"),
+    "uc_a": ("sha256:3ddf0e02dca38b75e22bdbb38da16b5e807a6c4b2d76866ef044b8c01277da7f",
+             "sha256:0f21c90d5077ba5b182996121b568ab7ab81c9c965a8c3f8492801c073e60904"),
+    "uc_b": ("sha256:c6fd0b245b87f0a6165ef17b151aa603eab036631a58dc5fcfeacb2eed36cc3d",
+             "sha256:f9756b24760b3389e4c2ba5134a74dde44fc8d64746d1a5882bdfea27904934a"),
+    "uc_c": ("sha256:f07f85c426a2d08ed2366eff583c88d4685349ec4159d86e843c7c1d4e3bb984",
+             "sha256:c414191c7daf15ef31d80f8c6019f219f3957a3e8e584d7997e35f5f2d1e8df4"),
+    "uc_d": ("sha256:2e72c66a20122f981a2aaeeb589fd8986530ad16bcec74eaae3782d3a4a83b95",
+             "sha256:bf421a511fb3b3cef4737ec9523c1a5627fcedde1167b23fac89d8a72744f424"),
+}
+
+
 def cfg(**kwargs):
     data = dict(BASE)
     data.update(kwargs)
@@ -189,6 +208,24 @@ class TestEnergyModel:
         assert em.comm_energy_per_byte == 0.0
         assert em.effective_utilization() == 1.0
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("cpu_utilization", 1.5, "must lie in [0, 1], got 1.5"),
+        ("idle_fraction", -0.1, "must lie in [0, 1], got -0.1"),
+        ("comm_energy_per_byte", -1, "must be >= 0"),
+        ("train_seconds_per_unit", -1e-3, "must be >= 0"),
+        ("agg_seconds_per_unit", -2, "must be >= 0"),
+    ])
+    def test_parse_config_checks_each_field(self, name, value, message):
+        with pytest.raises(ConfigError) as info:
+            cfg(energy_model={name: value})
+        assert str(info.value) == f"field 'energy_model.{name}' {message}"
+
+    def test_records_stay_immutable(self):
+        config = cfg()
+        for record, name in ((config, "seed"), (config.energy_model, "cpu_utilization")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
 
 class TestLoadScenario:
     def test_loads_bundled_scenarios(self, scenario_dir):
@@ -245,3 +282,17 @@ class TestLoadScenario:
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(cfg(seed=2))
         assert config_digest(a).startswith("sha256:")
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+    def test_bundled_digests_pinned(self, scenario_dir, name):
+        config = load_scenario(scenario_dir / f"{name}.json")
+        assert (config_digest(config), config_digest(config._replace(seed=7))) == _PINNED_DIGESTS[name]
+
+    def test_digest_of_every_field_pinned(self):
+        # an int energy-model value is kept as given, so it digests as 1, not 1.0
+        config = cfg(energy_model={"cpu_utilization": 1, "idle_fraction": 0.25},
+                     score_overrides={"sustainability.carbon_intensity": 0.5},
+                     statistics={"accuracy": [1, {"b": None}], "note": "\u00e9"}, description="d",
+                     num_label_classes=3,
+                     client_locations=[{"share": 0.5, "location": "CH"}, {"share": 0.5, "location": "DE"}])
+        assert config_digest(config) == "sha256:e16761f48354d2264965ab0bb905b909e234bf87229a90c1e7716da576c49f21"

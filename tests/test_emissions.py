@@ -1,6 +1,8 @@
 """Tests for the TDP-based energy estimator and the emissions log."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -101,6 +103,15 @@ class TestTrackPhase:
         with pytest.raises(EmissionsError):
             EmissionRecord(node_id="x", role="client", phase="training", round=-1,
                            duration_s=1, energy_kwh=1, intensity=1, co2eq_g=1)
+
+    def test_records_are_immutable_values(self):
+        record = EmissionRecord("x", "client", "training", 1, 2.0, 0.5, 32.0, 16.0)
+        with pytest.raises(AttributeError):
+            record.co2eq_g = 0.0
+        assert record == EmissionRecord("x", "client", "training", 1, 2.0, 0.5, 32.0, 16.0)
+        assert record != EmissionRecord("x", "client", "training", 2, 2.0, 0.5, 32.0, 16.0)
+        assert len({record, EmissionRecord("x", "client", "training", 1, 2.0, 0.5, 32.0, 16.0)}) == 1
+        assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
 
 
 def random_log(seed, n=200):
@@ -380,8 +391,14 @@ def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, cl
         "client_locations": "ch", "server_hardware": _HARDWARE[2], "server_location": "ZA",
         "energy_model": {"comm_energy_per_byte": 1e-12},
     })
-    original = fedsim.hash_client_id
-    monkeypatch.setattr(fedsim, "hash_client_id", lambda salt, c: original(salt, 2 if c == 5 else c))
+    original = fedsim.hash_client_ids
+
+    def colliding(salt, num_clients):  # client 5 takes client 2's node id
+        node_ids = original(salt, num_clients)
+        node_ids[5] = node_ids[2]
+        return node_ids
+
+    monkeypatch.setattr(fedsim, "hash_client_ids", colliding)
     state = run_federation(config, tables)
     assert len(set(state.clients.node_ids)) == clients - 1
     draws = [set(sample_clients(clients, drawn, SelectionStream(21, t))) for t in range(1, rounds + 1)]
@@ -389,4 +406,4 @@ def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, cl
     assert any(2 in draw for draw in draws) and any(5 in draw for draw in draws)
     assert not state.emissions._ordered
     check_against_row_reference(state.emissions, config)
-    assert state.clients.counts == [sum(c in draw for draw in draws) for c in range(clients)]
+    assert state.clients.counts == [sum(c in draw for draw in draws) for c in state.clients.node_order]

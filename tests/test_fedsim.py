@@ -8,6 +8,7 @@ Fisher-Yates); the simulator's sampler must agree with it draw for draw.
 plain Python integers and floats.
 """
 
+import copy
 import hashlib
 import logging
 import math
@@ -30,6 +31,7 @@ from fedsust.fedsim import (
     client_class_counts,
     fleet_class_counts,
     hash_client_id,
+    hash_client_ids,
     hash_label,
     price_fleet,
     run_federation,
@@ -353,6 +355,11 @@ class TestLabelStream:
             run_federation(make_config(num_label_classes=3), tables)
         assert "label hash collision" in caplog.text
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 1000])
+    def test_fleet_hash_matches_each_client_hash(self, n):
+        salt = run_salt(2**64 - 1)
+        assert hash_client_ids(salt, n) == [hash_client_id(salt, c) for c in range(n)]
+
     def test_run_hashes_the_column_totals(self, tables):
         config = make_config(num_clients=30, dataset_size=7, num_label_classes=12)
         state = run_federation(config, tables)
@@ -386,10 +393,10 @@ class TestRunFederation:
 
     def test_each_client_hashed_once_and_keyed_by_its_node_id(self, tables, monkeypatch):
         hashed = []
-        original = fedsim.hash_client_id
-        monkeypatch.setattr(fedsim, "hash_client_id", lambda salt, c: hashed.append(c) or original(salt, c))
+        original = fedsim.hash_client_ids
+        monkeypatch.setattr(fedsim, "hash_client_ids", lambda salt, n: hashed.append(n) or original(salt, n))
         state = run_federation(make_config(num_clients=12, sample_size=12, total_rounds=3), tables)
-        assert sorted(hashed) == list(range(12))
+        assert hashed == [12]
         node_ids = {r.node_id for r in state.emissions.records if r.role == "client"}
         assert len(node_ids) == 12
         assert set(state.selection_counts) == set(state.clients.node_ids) == node_ids
@@ -409,7 +416,7 @@ class TestRunFederation:
         drawn = [sample_clients(n, m, SelectionStream(seed, t)) for t in range(1, rounds + 1)]
         assert [logged[t] for t in range(1, rounds + 1)] == \
             [sorted(clients, key=node_ids.__getitem__) for clients in drawn]
-        assert state.clients.counts == [sum(c in clients for clients in drawn) for c in range(n)]
+        assert state.clients.counts == [sum(c in clients for clients in drawn) for c in state.clients.node_order]
 
     @pytest.mark.parametrize("n, m, rounds", [(40, 7, 30), (300, 150, 12), (2, 1, 20)])
     def test_blocks_do_not_depend_on_the_batch_cap(self, tables, monkeypatch, n, m, rounds):
@@ -530,6 +537,18 @@ _TOTALS_OVERFLOW = ({"comm_energy_per_byte": 4.9e296},
 
 
 class TestPriceFleet:
+    def test_records_stay_immutable(self, tables):
+        config = make_config(num_clients=5, sample_size=2, total_rounds=3)
+        prices = price_fleet(config, tables)
+        with pytest.raises(AttributeError):
+            prices.train_s = 0.0
+        clients = run_federation(config, prices=prices).clients
+        with pytest.raises(AttributeError):
+            clients.counts = []
+        assert {clients: "quoted"}[clients] == "quoted"  # the render keys a table by identity
+        copied = copy.deepcopy(clients)
+        assert copied != clients and copied.counts == clients.counts and copied.row_of == clients.row_of
+
     def test_prices_are_keyed_by_values_not_by_mix_entries(self, tables):
         # 60 distinct hardware strings over two TDPs and 60 distinct locations over two grids
         models = ("AMD FX-9590", "Intel Core i5-1335U", "Intel Core i7-8650U")  # 220, 15, 15 W

@@ -53,6 +53,11 @@ class TestHardwareLookups:
         assert tables.hardware.lookup("intel  core   I7-1250u").model == "Intel Core i7-1250U"
         assert normalize_model_name("  AMD   FX-9590 ") == "amd fx-9590"
 
+    def test_records_stay_immutable(self, tables):
+        for record, name in ((tables.hardware.lookup("AMD FX-9590"), "tdp"), (tables, "grid")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
     def test_unknown_model_names_the_string(self, tables):
         with pytest.raises(UnknownHardwareError, match="Quantum9000"):
             tables.hardware.lookup("Quantum9000")

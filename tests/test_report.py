@@ -1,6 +1,5 @@
 """Tests for factsheet population, report rendering, and external pillars."""
 
-import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -179,8 +178,9 @@ class TestFactSheet:
         state = run_federation(config, tables)
         sheet = populate_factsheet(config, state)
         assert sheet["completeness"] == {"fraction": 1.0, "absent": []}
-        empty = dataclasses.replace(state.clients, node_ids=[], counts=[],
-                                    class_counts=state.clients.class_counts[:0])
+        clients = state.clients
+        empty = ClientTable([], [], [], clients.class_counts[:0], clients.labels, clients.rounds,
+                            clients.dataset_size, clients.train_s)
         sheet["during_training"]["selection_counts"] = SelectionCounts(empty)
         sheet["post_training"]["client_statistics"] = empty
         assert completeness(sheet)["absent"] == [
@@ -292,10 +292,12 @@ def plain(value):
     if type(value) is dict:
         return {key: plain(item) for key, item in value.items()}
     if type(value) is SelectionCounts:
-        return dict(zip(value.table.node_ids, value.table.counts))
+        return {value.table.node_ids[c]: count for c, count in zip(value.table.node_order, value.table.counts)}
     if type(value) is ClientTable:
         entries = {}
-        for node_id, count, row in zip(value.node_ids, value.counts, value.class_counts.tolist()):
+        rows = value.class_counts.tolist()
+        for c, count in zip(value.node_order, value.counts):
+            node_id, row = value.node_ids[c], rows[c]
             seconds = 0.0
             for _ in range(count):
                 seconds += value.train_s
@@ -365,7 +367,8 @@ def reference_block(value, newline: str) -> str:
     inner = newline + "  "
     quoted = [encode_basestring(node_id) for node_id in table.node_ids]
     if table is not value:
-        return "{" + "".join(f",{inner}{quoted[c]}: {table.counts[c]!r}" for c in table.node_order)[1:] + newline + "}"
+        return "{" + "".join(f",{inner}{quoted[c]}: {count!r}"
+                             for c, count in zip(table.node_order, table.counts))[1:] + newline + "}"
     field, label = inner + "  ", inner + "    "
     heads, tails = {}, {}
     seconds, summed = 0.0, 0
@@ -382,8 +385,8 @@ def reference_block(value, newline: str) -> str:
     between = "," + label
     rows = table.class_counts[:, by_label].tolist()
     entries = []
-    for c in table.node_order:
-        row, count = rows[c], table.counts[c]
+    for c, count in zip(table.node_order, table.counts):
+        row = rows[c]
         balance = between.join(compress(cells, row)) % tuple(filter(None, row))
         entries.append(f",{inner}{quoted[c]}{heads[count]}{balance}{tails[count]}")
     return "{" + "".join(entries)[1:] + newline + "}"

@@ -1,7 +1,9 @@
 """Tests for the normalization rules and the weighted aggregation tree."""
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -197,6 +199,16 @@ class TestNormalizationRule:
             NormalizationRule("log-bucket", anchors=((10.0, 1.5), (100.0, 0.5)))
         with pytest.raises(ScoreError):
             NormalizationRule("no-such-variant")
+
+    def test_rules_are_immutable_values(self):
+        rule = NormalizationRule("linear-direct", lo=20.0, hi=1447.0)
+        with pytest.raises(AttributeError):
+            rule.hi = 2.0
+        assert rule == POWER_PERFORMANCE_RULE and hash(rule) == hash(POWER_PERFORMANCE_RULE)
+        assert rule != NormalizationRule("linear-direct", lo=20.0, hi=1446.0)
+        assert repr(rule) == "NormalizationRule(variant='linear-direct', lo=20.0, hi=1447.0, anchors=())"
+        tree = ScoreNode(id="n", kind=KIND_NOTION, children=[leaf("n.a", 1.0, 0.5, rule)])
+        assert copy.deepcopy(tree).children[0].rule == rule == pickle.loads(pickle.dumps(rule))
 
 
 # The program's rules: each with its documented direction (+1 non-decreasing,

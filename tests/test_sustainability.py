@@ -51,6 +51,13 @@ def notion(scored, name):
 
 
 class TestCarbonAssessment:
+    def test_assessments_are_immutable(self, tables):
+        config = make_config()
+        for record in (assess_carbon(config, tables.grid, tables.locations),
+                       assess_hardware(config, tables.hardware), assess_complexity(config)):
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], 0.0)
+
     def test_half_kosovo_half_gambia_averages_to_734_5(self, tables):
         cfg = make_config(
             num_clients=1000,
