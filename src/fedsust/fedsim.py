@@ -75,7 +75,10 @@ the table holds those counts as the log does, in node-id order.
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
 every row a run can log, the server's aggregation row included, so the
-rounds only append rows priced at set-up. A phase whose duration, energy or
+rounds only append rows priced at set-up. Each mix entry takes a run of
+consecutive client indices, its largest-remainder share of the fleet, so a
+client's rows are those of its (hardware, location) pair, gathered for the
+log in node-id order. A phase whose duration, energy or
 CO2eq overflows is a validation error, not a failed run, and so is a run
 whose totals could: ``total_rounds x (sample_size x the largest client
 round + the server row)`` bounds the energy and CO2eq totals, and
@@ -450,18 +453,16 @@ class FederationState:
         return SelectionCounts(self.clients)
 
 
-def _assign_by_share(mix: tuple[tuple[float, object], ...], population: int) -> list:
-    """Deterministic largest-remainder assignment of share mixes to clients."""
+def _assign_by_share(mix: tuple[tuple[float, object], ...], population: int) -> list[int]:
+    """Deterministic largest-remainder split of ``population`` clients over a share mix: each
+    entry's number of clients, in mix order. The entries take consecutive client indices."""
     raw = [share * population for share, _ in mix]
     counts = [math.floor(r) for r in raw]
     shortfall = population - sum(counts)
     order = sorted(range(len(mix)), key=lambda i: (-(raw[i] - counts[i]), i))
     for i in order[:shortfall]:
         counts[i] += 1
-    assigned = []
-    for (_, value), count in zip(mix, counts):
-        assigned.extend([value] * count)
-    return assigned
+    return counts
 
 
 # The fields each phase's duration, energy and CO2eq grow with, for the error message.
@@ -587,10 +588,16 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
     ranks[order] = np.arange(n)
     node_order = order.tolist()
-    pairs = zip(_assign_by_share(prices.client_tdp, n), _assign_by_share(prices.client_intensity, n))
-    client_rows = [prices.client_rows[pair] for pair in pairs]
+    # client c has the hardware entry whose consecutive indices hold c, and the location entry;
+    # each (hardware, location) pair's rows are looked up once and gathered in node-id order
+    hardware = np.searchsorted(np.cumsum(_assign_by_share(prices.client_tdp, n)), order, side="right")
+    location = np.searchsorted(np.cumsum(_assign_by_share(prices.client_intensity, n)), order, side="right")
+    pair_rows = np.empty((len(prices.client_tdp), len(prices.client_intensity)), dtype=object)
+    for i, (_, tdp) in enumerate(prices.client_tdp):
+        for j, (_, intensity) in enumerate(prices.client_intensity):
+            pair_rows[i, j] = prices.client_rows[tdp, intensity]
     # the log's node r is the client of node-id rank r, so a round's block is its sorted ranks
-    log = EmissionsLog([node_ids[c] for c in node_order], [client_rows[c] for c in node_order],
+    log = EmissionsLog(np.array(node_ids, dtype=object)[order].tolist(), pair_rows[hardware, location].tolist(),
                        prices.server_row)
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]

@@ -11,18 +11,24 @@ under per-run salted hashes.
 
 from __future__ import annotations
 
+import io
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import FederationConfig, check_weights, config_digest, read_json, require_number
 # hash_client_id is unused here; bench/tracer.py patches report.hash_client_id
 from .fedsim import ClientTable, FederationState, SelectionCounts, hash_client_id  # noqa: F401
 from .scoring import KIND_METRIC, ScoreError, ScoreNode, trust_score
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EXTERNAL_PILLAR_IDS",
@@ -319,16 +325,22 @@ def render_report(report: dict) -> bytes:
     allow_nan=False)`` and a newline. A :class:`~fedsust.fedsim.SelectionCounts`
     is written as the dict it reads as, and a :class:`~fedsust.fedsim.ClientTable`
     as the dict of its clients' factsheet entries keyed by node id, both rendered
-    by column (:func:`_write_clients`, which alone loads numpy). A non-finite
-    float raises ``ValueError``; a non-``str`` key or any other type than these
-    and exact dict, list, tuple, str, int, float, bool and ``None`` raises
-    ``TypeError``."""
+    in row blocks (:func:`_write_clients`, which alone loads numpy). The text before
+    a per-client block and each of its row blocks are encoded into one buffer as they
+    are made, so a factsheet is held once, as its bytes; a document without such a
+    block is encoded in one piece. A non-finite float raises ``ValueError``; a
+    non-``str`` key or any other type than these and exact dict, list, tuple, str,
+    int, float, bool and ``None`` raises ``TypeError``."""
     chunks: list[str] = []
-    _write_json(report, chunks, "\n", {})
+    out = io.BytesIO()
+    _write_json(report, chunks, "\n", {}, out)
     chunks.append("\n")
-    text = "".join(chunks)
-    chunks.clear()  # a factsheet's pieces are freed before its text is encoded
-    return text.encode("utf-8")
+    tail = "".join(chunks).encode("utf-8")
+    if not out.tell():
+        return tail
+    out.write(tail)
+    out.truncate()
+    return out.getvalue()  # the buffer's own bytes, not a copy
 
 
 def _finite_repr(value: float) -> str:
@@ -342,8 +354,9 @@ _SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
             bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
-def _write_json(value, chunks: list[str], newline: str, quoted: dict) -> None:
-    """Append the JSON of ``value``, laid out at the padding of ``newline``."""
+def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: io.BytesIO) -> None:
+    """Append the JSON of ``value``, laid out at the padding of ``newline``, to ``chunks``,
+    which a per-client block first empties into ``out``."""
     kind = type(value)
     write = _SCALARS.get(kind)
     if write is not None:
@@ -351,58 +364,82 @@ def _write_json(value, chunks: list[str], newline: str, quoted: dict) -> None:
     elif kind is dict and value:
         inner = newline + "  "
         emit, scalar = chunks.append, _SCALARS.get
-        emit("{")
-        first = len(chunks)
+        separator, comma = "{" + inner, "," + inner
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            prefix = f",{inner}{encode_basestring(key)}: "
+            prefix = f"{separator}{encode_basestring(key)}: "
+            separator = comma
             item = value[key]
             write = scalar(type(item))
             if write is None:
                 emit(prefix)
-                _write_json(item, chunks, inner, quoted)
+                _write_json(item, chunks, inner, indexed, out)
             else:
                 emit(prefix + write(item))
-        chunks[first] = chunks[first][1:]  # no comma before the first key
         emit(newline + "}")
     elif (kind is list or kind is tuple) and value:
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
             chunks.append(separator)
-            _write_json(item, chunks, inner, quoted)
+            _write_json(item, chunks, inner, indexed, out)
             separator = "," + inner
         chunks.append(newline + "]")
     elif kind is dict or kind is list or kind is tuple:
         chunks.append("{}" if kind is dict else "[]")
     elif kind is SelectionCounts or kind is ClientTable:
-        _write_clients(value, chunks, newline, quoted)
+        _write_clients(value, chunks, newline, indexed, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# Most text cells a per-client block builds at once, bounding its temporaries.
+_BLOCK_CELLS = 1 << 14
+
+
+def _index(values: np.ndarray) -> tuple[list[int], Callable[[np.ndarray], np.ndarray]]:
+    """``(distinct, key)`` of an array of non-negative integers: its distinct values,
+    ascending, and a function giving each element of a part of the array its position
+    among them. A presence table over ``[0, max]`` finds them when that range is no
+    larger than the array; a wider one (``dataset_size`` reaches 10**10) is sorted."""
+    import numpy as np
+
+    top = int(values.max(initial=0))
+    if top < values.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[values] = True
+        return np.flatnonzero(present).tolist(), (np.cumsum(present) - 1).__getitem__
+    distinct = np.unique(values)
+    return distinct.tolist(), partial(np.searchsorted, distinct)
+
+
 def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str,
-                   quoted: dict) -> None:
-    """Append a per-client block in node-id order, rendered by column: one object array of
-    text cells, a row per client, joined once. A row is the separator (the open brace in the
-    first row), the node id, quoted once per table into ``quoted``, and the entry's cells,
-    each made once per distinct count."""
+                   indexed: dict, out: io.BytesIO) -> None:
+    """Write a per-client block in node-id order, in row blocks of at most ``_BLOCK_CELLS``
+    text cells: the text so far in ``chunks`` is encoded into ``out``, then each row block's
+    cells are made, joined and encoded into ``out``. A row is the separator (the open brace
+    in the block's first row), the node id and the entry's cells. Once per table, into
+    ``indexed``, the node ids are quoted and the counts indexed (:func:`_index`), so both
+    blocks share them and each entry's cells are made once per distinct count; the class
+    counts' digits are made once per distinct value."""
     table = value.table if type(value) is SelectionCounts else value
-    if not len(table):
+    n = len(table)
+    if not n:
         chunks.append("{}")
         return
     import numpy as np
 
     inner, field = newline + "  ", newline + "    "
-    if table not in quoted:
-        quoted[table] = np.array([*map(encode_basestring, map(table.node_ids.__getitem__, table.node_order))],
-                                 dtype=object)
-    distinct, which = np.unique(table.counts, return_inverse=True)
+    if table not in indexed:
+        counts = np.asarray(table.counts)
+        indexed[table] = (np.array([*map(encode_basestring, map(table.node_ids.__getitem__, table.node_order))],
+                                  dtype=object), counts, *_index(counts))
+    ids, counts, distinct, count_key = indexed[table]
     if table is value:
         heads, tails = [], []
         seconds, summed = 0.0, 0
-        for count in distinct.tolist():
+        for count in distinct:
             while summed < count:  # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
                 seconds += table.train_s
                 summed += 1
@@ -410,29 +447,61 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
                          f'{field}"class_balance": {{{field}  ')
             tails.append(f'{field}}},{field}"dataset_size": {int.__repr__(table.dataset_size)},'
                          f'{field}"participation_rate": {_finite_repr(count / table.rounds)}{inner}}}')
+        heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
         k = len(table.labels)
         by_label = sorted(range(k), key=table.labels.__getitem__)
-        rows = table.class_counts[np.ix_(table.node_order, by_label)]
-        nonzero = rows != 0
         names = [encode_basestring(table.labels[j]) + ": " for j in by_label]
-        # a class label's cell at a zero count, at its row's first non-zero count, and at a later one
-        forms = np.array([["", name, f",{field}  {name}"] for name in names], dtype=object)
-        values, at = np.unique(rows, return_inverse=True)
-        digits = np.array([int.__repr__(v) if v else "" for v in values.tolist()], dtype=object)
-        cells = np.empty((len(table), 2 * k + 4), dtype=object)
-        cells[:, 2] = np.array(heads, dtype=object)[which]
-        cells[:, 3:-1:2] = forms[np.arange(k), np.minimum(nonzero.cumsum(axis=1), 2) * nonzero]
-        cells[:, 4:-1:2] = digits[at.reshape(rows.shape)]
-        cells[:, -1] = np.array(tails, dtype=object)[which]
+        # class j's label cell at a zero count, at its row's first non-zero count and at a later
+        # one: forms[3 * j], [3 * j + 1] and [3 * j + 2]
+        forms = np.array([form for name in names for form in ("", name, f",{field}  {name}")], dtype=object)
+        values, digit_key = _index(table.class_counts)
+        digits = np.array([int.__repr__(v) if v else "" for v in values], dtype=object)
+        order, by_label, columns = np.asarray(table.node_order), np.array(by_label), 3 * np.arange(k)
+        width = 2 * k + 4
     else:
-        cells = np.empty((len(table), 3), dtype=object)
-        cells[:, 2] = np.array([": " + int.__repr__(c) for c in distinct.tolist()], dtype=object)[which]
-    cells[:, 0] = "," + inner
-    cells[0, 0] = "{" + inner
-    cells[:, 1] = quoted[table]
-    cells = cells.ravel().tolist()  # the array is freed before the join
-    chunks.append("".join(cells))
+        entries = np.array([": " + int.__repr__(c) for c in distinct], dtype=object)
+        width = 3
+    out.write("".join(chunks).encode("utf-8"))
+    chunks.clear()
+    step = max(1, _BLOCK_CELLS // width)
+    for first in range(0, n, step):
+        last = min(first + step, n)
+        at = count_key(counts[first:last])
+        cells = np.empty((last - first, width), dtype=object)
+        cells[:, 0] = "," + inner
+        cells[:, 1] = ids[first:last]
+        if table is value:
+            rows = table.class_counts.take(order[first:last], axis=0)[:, by_label]
+            nonzero = rows != 0
+            form = np.minimum(nonzero.cumsum(axis=1, dtype=np.intp), 2)
+            form *= nonzero
+            form += columns
+            cells[:, 2] = heads[at]
+            cells[:, 3:-1:2] = forms.take(form)
+            cells[:, 4:-1:2] = digits[digit_key(rows)]
+            cells[:, -1] = tails[at]
+        else:
+            cells[:, 2] = entries[at]
+        if not first:
+            cells[0, 0] = "{" + inner
+        cells = cells.ravel().tolist()  # the array is freed before the join
+        block = "".join(cells).encode("utf-8")
+        if not first and last < n:
+            # rows in node-id order are a sample of the fleet: the first block sizes the rest
+            # with 1/32 to spare, so the buffer is not copied each time it grows
+            _reserve(out, out.tell() + len(block) + len(block) * (n - last) * 33 // (32 * last))
+        out.write(block)
     chunks.append(newline + "}")
+
+
+def _reserve(out: io.BytesIO, size: int) -> None:
+    """Grow ``out`` to at least ``size`` bytes at once, keeping its content and position; the
+    writer truncates it where the document ends."""
+    at = out.tell()
+    if out.seek(0, io.SEEK_END) < size:
+        out.seek(size - 1)
+        out.write(b"\0")
+    out.seek(at)
 
 
 def emissions_summary(state: FederationState) -> dict:

@@ -1,0 +1,14 @@
+"""The equivalence oracle: every pinned ``simulate`` case gives its pinned bytes."""
+
+import json
+
+import golden
+
+
+def test_simulate_outputs_match_the_golden_table():
+    pinned = json.loads(golden.TABLE.read_text(encoding="utf-8"))
+    cases = golden.cases()
+    assert sorted(pinned) == sorted(cases)
+    changed = {name: (pinned[name], got) for name, argv in cases.items()
+               if (got := golden.run_case(argv)) != pinned[name]}
+    assert not changed, f"{len(changed)} of {len(cases)} cases changed: {changed}"

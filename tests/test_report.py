@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from itertools import compress
 from json.encoder import encode_basestring
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsust import report
 from fedsust.config import parse_config
 from fedsust.fedsim import ClientTable, SelectionCounts, run_federation
 from fedsust.report import (
@@ -396,6 +398,20 @@ def reference_block(value, newline: str) -> str:
 _LABEL = st.text(st.sampled_from('%"\\ é€😀a') | st.characters(codec="utf-8"), min_size=1, max_size=5)
 
 
+def seeded_table(seed, n, k, size, rounds, single=0.0, labels=None, train_s=0.1):
+    """A client table of ``n`` clients whose ``size`` samples split over ``k`` classes at
+    ``k - 1`` cut points, or, for about a ``single`` share of them, all in one class."""
+    rng = np.random.default_rng(seed)
+    rows = np.diff(np.sort(rng.integers(0, size + 1, (n, k - 1)), axis=1), prepend=0, append=size)
+    one = rng.random(n) < single
+    rows[one] = 0
+    rows[one, rng.integers(0, k, one.sum())] = size
+    node_ids = [f"{v:016x}" for v in rng.choice(2**63 - 1, n, replace=False).tolist()]
+    return ClientTable(node_ids, sorted(range(n), key=node_ids.__getitem__),
+                       rng.integers(0, rounds + 1, n).tolist(), rows,
+                       labels or [f"label {j} é" for j in range(k)], rounds, size, train_s)
+
+
 @st.composite
 def client_tables(draw):
     """Client tables of up to 60 clients and 12 classes whose rows of at most 30 samples
@@ -403,26 +419,28 @@ def client_tables(draw):
     divided by the count is not ``train_s``. The columns come from a drawn numpy seed."""
     n, k, size = draw(st.integers(1, 60)), draw(st.integers(1, 12)), draw(st.integers(1, 30))
     rounds = draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # the samples split at k - 1 cut points, or all in one class
-    rows = np.diff(np.sort(rng.integers(0, size + 1, (n, k - 1)), axis=1), prepend=0, append=size)
-    single = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    rows[single] = 0
-    rows[single, rng.integers(0, k, single.sum())] = size
-    node_ids = [f"{v:016x}" for v in rng.choice(2**63 - 1, n, replace=False).tolist()]
-    return ClientTable(
-        node_ids, sorted(range(n), key=node_ids.__getitem__), rng.integers(0, rounds + 1, n).tolist(),
-        rows, draw(st.lists(_LABEL, min_size=k, max_size=k, unique=True)), rounds, size,
-        draw(st.sampled_from([0.1, 0.7, 1 / 3, 2.3e-5, 123.456])),
-    )
+    return seeded_table(draw(st.integers(0, 2**32 - 1)), n, k, size, rounds,
+                        single=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                        labels=draw(st.lists(_LABEL, min_size=k, max_size=k, unique=True)),
+                        train_s=draw(st.sampled_from([0.1, 0.7, 1 / 3, 2.3e-5, 123.456])))
+
+
+def check_block(value):
+    """``value``'s block at the top level and nested equals the per-entry writer's."""
+    assert render_report(value) == (reference_block(value, "\n") + "\n").encode("utf-8")
+    nested = '{\n  "x": {\n    "y": ' + reference_block(value, "\n    ") + "\n  }\n}\n"
+    assert render_report({"x": {"y": value}}) == nested.encode("utf-8")
+    assert json.loads(render_report(value)) == plain(value)
 
 
 def check_client_blocks(table):
     for value in (table, SelectionCounts(table)):
-        assert render_report(value) == (reference_block(value, "\n") + "\n").encode("utf-8")
-        nested = '{\n  "x": {\n    "y": ' + reference_block(value, "\n    ") + "\n  }\n}\n"
-        assert render_report({"x": {"y": value}}) == nested.encode("utf-8")
-        assert json.loads(render_report(value)) == plain(value)
+        check_block(value)
+
+
+def block_rows(kind, k):
+    """The rows of one of ``kind``'s row blocks, with ``k`` classes."""
+    return report._BLOCK_CELLS // (2 * k + 4 if kind is ClientTable else 3)
 
 
 class TestCanonicalWriter:
@@ -473,3 +491,63 @@ class TestCanonicalWriter:
         check_client_blocks(table)
         if not n:
             assert render_report(table) == render_report(SelectionCounts(table)) == b"{}\n"
+
+
+class TestRowBlocks:
+    """A per-client block is written in row blocks of at most ``report._BLOCK_CELLS`` cells."""
+
+    @pytest.mark.parametrize("kind", [ClientTable, SelectionCounts], ids=["clients", "counts"])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_row_block_seams(self, kind, blocks, extra):
+        k = 5
+        table = seeded_table(blocks + extra, blocks * block_rows(kind, k) + extra, k, 40, 9, single=0.2)
+        check_block(table if kind is ClientTable else SelectionCounts(table))
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_first_row_block_unlike_the_rest(self, long_first):
+        # the first row block sizes the buffer for the rest: shorter rows after it leave room
+        # that is cut off where the document ends, and longer ones grow the buffer
+        k = 8
+        n = 3 * block_rows(ClientTable, k)
+        long = np.arange(n) < n // 3 if long_first else np.arange(n) >= n // 3
+        rows = np.zeros((n, k), dtype=np.int64)
+        rows[long] = 10**6
+        rows[~long, 0] = 8 * 10**6
+        node_ids = [f"{c:016x}" for c in range(n)]
+        table = ClientTable(node_ids, list(range(n)), [c % 7 for c in range(n)], rows,
+                            [f"c{j}" for j in range(k)], 6, 8 * 10**6, 0.5)
+        check_client_blocks(table)
+
+    @pytest.mark.parametrize("kind", [ClientTable, SelectionCounts], ids=["clients", "counts"])
+    def test_counts_wider_than_the_table_are_sorted(self, kind):
+        # dataset_size 10**9 puts the class counts beyond a presence table over the array,
+        # and 1000 rounds over four clients the selection counts
+        table = seeded_table(5, 4, 3, 10**9, 1000, single=0.25)
+        assert report._BLOCK_CELLS > table.class_counts.size
+        assert table.class_counts.max() >= table.class_counts.size and max(table.counts) >= len(table)
+        check_block(table if kind is ClientTable else SelectionCounts(table))
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_zero_counts_but_one(self, n):
+        # every row holds one non-zero class count, and only one client was ever drawn
+        table = seeded_table(n, n, 6, 12, 3, single=1.0)
+        counts = [0] * n
+        counts[n // 2] = 3
+        check_client_blocks(ClientTable(table.node_ids, table.node_order, counts, table.class_counts,
+                                        table.labels, 3, 12, 0.1))
+
+    def test_factsheet_held_once(self, tables):
+        # the factsheet is held once, as its bytes: no joined text beside them, and no
+        # index arrays over the whole table beside the buffer
+        config = make_config(num_clients=20_000, sample_size=10, selection_rate=10 / 20_000,
+                             total_rounds=50, num_label_classes=10, dataset_size=500, seed=3)
+        sheet = populate_factsheet(config, run_federation(config, tables))
+        render_report(sheet)
+        tracemalloc.start()
+        try:
+            data = render_report(sheet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 10**7
+        assert peak <= 1.5 * len(data)
