@@ -26,6 +26,7 @@ from .report import (
     populate_factsheet,
     render_report,
     write_atomic,
+    write_report,
 )
 from .scoring import (
     ScoreError,
@@ -189,7 +190,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     write_atomic(out / "trust_report.json", render_report(report))
-    write_atomic(out / "factsheet.json", render_report(factsheet))
+    write_report(out / "factsheet.json", factsheet)
     write_atomic(out / "emissions.csv", state.emissions.to_csv_bytes())
     _print_scores(report)
     print(f"estimated emissions: {emissions['total_co2eq_g_raw']:.6g} gCO2eq "

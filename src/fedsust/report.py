@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from . import __version__
 from .config import FederationConfig, check_weights, config_digest, read_json, require_number
@@ -41,6 +41,7 @@ __all__ = [
     "render_report",
     "resolve_pillar_value",
     "write_atomic",
+    "write_report",
 ]
 
 # The six pillars whose scores are produced outside this package and fed in.
@@ -69,6 +70,20 @@ def display_score(value: float) -> str:
 
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a temp file and rename; never a partial file."""
+    _write_atomically(path, lambda fh: fh.write(data))
+
+
+def write_report(path: str | Path, report: dict) -> None:
+    """Write :func:`render_report`'s bytes of ``report`` to ``path`` as :func:`write_atomic`
+    does, each row block straight into the temp file, so the document is never held whole.
+    A render that fails partway raises as :func:`render_report` would and leaves ``path``
+    as it was."""
+    _write_atomically(path, partial(_render, report))
+
+
+def _write_atomically(path: str | Path, fill: Callable[[BinaryIO], object]) -> None:
+    """Call ``fill`` on a new temp file beside ``path``, then rename it to ``path``; on any
+    exception the temp file is removed and ``path`` keeps its bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # os.open applies the umask to 0o666, as open(path, "wb") would; mkstemp gives 0o600
@@ -76,7 +91,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -325,22 +340,23 @@ def render_report(report: dict) -> bytes:
     allow_nan=False)`` and a newline. A :class:`~fedsust.fedsim.SelectionCounts`
     is written as the dict it reads as, and a :class:`~fedsust.fedsim.ClientTable`
     as the dict of its clients' factsheet entries keyed by node id, both rendered
-    in row blocks (:func:`_write_clients`, which alone loads numpy). The text before
-    a per-client block and each of its row blocks are encoded into one buffer as they
-    are made, so a factsheet is held once, as its bytes; a document without such a
-    block is encoded in one piece. A non-finite float raises ``ValueError``; a
-    non-``str`` key or any other type than these and exact dict, list, tuple, str,
-    int, float, bool and ``None`` raises ``TypeError``."""
-    chunks: list[str] = []
+    in row blocks (:func:`_write_clients`, which alone loads numpy). The bytes are
+    built in one buffer, for the small documents and the tests; :func:`write_report`
+    writes the same bytes straight to a file. A non-finite float raises
+    ``ValueError``; a non-``str`` key or any other type than these and exact dict,
+    list, tuple, str, int, float, bool and ``None`` raises ``TypeError``."""
     out = io.BytesIO()
+    _render(report, out)
+    return out.getvalue()
+
+
+def _render(report: dict, out: BinaryIO) -> None:
+    """Write the bytes of :func:`render_report` to ``out``: the text before each per-client
+    block, then each of its row blocks as it is made, then the rest."""
+    chunks: list[str] = []
     _write_json(report, chunks, "\n", {}, out)
     chunks.append("\n")
-    tail = "".join(chunks).encode("utf-8")
-    if not out.tell():
-        return tail
-    out.write(tail)
-    out.truncate()
-    return out.getvalue()  # the buffer's own bytes, not a copy
+    out.write("".join(chunks).encode("utf-8"))
 
 
 def _finite_repr(value: float) -> str:
@@ -354,9 +370,9 @@ _SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
             bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
-def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: io.BytesIO) -> None:
-    """Append the JSON of ``value``, laid out at the padding of ``newline``, to ``chunks``,
-    which a per-client block first empties into ``out``."""
+def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: BinaryIO) -> None:
+    """Append the JSON of ``value``, laid out at the padding of ``newline``, to ``chunks``;
+    a per-client block first writes the text in ``chunks`` to ``out`` and empties it."""
     kind = type(value)
     write = _SCALARS.get(kind)
     if write is not None:
@@ -415,14 +431,14 @@ def _index(values: np.ndarray) -> tuple[list[int], Callable[[np.ndarray], np.nda
 
 
 def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str,
-                   indexed: dict, out: io.BytesIO) -> None:
+                   indexed: dict, out: BinaryIO) -> None:
     """Write a per-client block in node-id order, in row blocks of at most ``_BLOCK_CELLS``
-    text cells: the text so far in ``chunks`` is encoded into ``out``, then each row block's
-    cells are made, joined and encoded into ``out``. A row is the separator (the open brace
-    in the block's first row), the node id and the entry's cells. Once per table, into
-    ``indexed``, the node ids are quoted and the counts indexed (:func:`_index`), so both
-    blocks share them and each entry's cells are made once per distinct count; the class
-    counts' digits are made once per distinct value."""
+    text cells: the text so far in ``chunks`` is encoded and written to ``out``, then each
+    row block's cells are made, joined, encoded and written to ``out`` before the next. A
+    row is the separator (the open brace in the block's first row), the node id and the
+    entry's cells. Once per table, into ``indexed``, the node ids are quoted and the counts
+    indexed (:func:`_index`), so both blocks share them and each entry's cells are made once
+    per distinct count; the class counts' digits are made once per distinct value."""
     table = value.table if type(value) is SelectionCounts else value
     n = len(table)
     if not n:
@@ -485,23 +501,8 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
         if not first:
             cells[0, 0] = "{" + inner
         cells = cells.ravel().tolist()  # the array is freed before the join
-        block = "".join(cells).encode("utf-8")
-        if not first and last < n:
-            # rows in node-id order are a sample of the fleet: the first block sizes the rest
-            # with 1/32 to spare, so the buffer is not copied each time it grows
-            _reserve(out, out.tell() + len(block) + len(block) * (n - last) * 33 // (32 * last))
-        out.write(block)
+        out.write("".join(cells).encode("utf-8"))
     chunks.append(newline + "}")
-
-
-def _reserve(out: io.BytesIO, size: int) -> None:
-    """Grow ``out`` to at least ``size`` bytes at once, keeping its content and position; the
-    writer truncates it where the document ends."""
-    at = out.tell()
-    if out.seek(0, io.SEEK_END) < size:
-        out.seek(size - 1)
-        out.write(b"\0")
-    out.seek(at)
 
 
 def emissions_summary(state: FederationState) -> dict:

@@ -1031,7 +1031,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, uc):
     assert added == []
 
 
-def test_traced_runs_still_install(tmp_path, scenario_dir):
+def test_traced_runs_still_install(tmp_path, scenario_dir, pillar_dir):
     # bench/tracer.py wraps names in fedsust's modules, so each must stay bound
     script = textwrap.dedent("""
         import sys
@@ -1040,18 +1040,31 @@ def test_traced_runs_still_install(tmp_path, scenario_dir):
         install(tracer)
         since = tracer.mark()
         from fedsust.cli import main
-        uc_a, out = sys.argv[1:]
+        scenarios, pillars, out = sys.argv[1:]
+        uc_a = f"{scenarios}/uc_a.json"
         assert main(["simulate", "--config", uc_a, "--out", out]) == 0
         assert main(["validate", "--config", uc_a]) == 0
         summary = tracer.summary(since)
         assert summary["fedsim.hash_label.calls"] == 10, summary  # once per class label
         assert "emissions.track_phase.calls" not in summary, summary
-        assert summary["report.write_atomic.calls"] == 3, summary
+        # the factsheet goes through write_report, which the tracer does not wrap
+        assert summary["report.write_atomic.calls"] == 2, summary
+        since = tracer.mark()
+        assert main(["score", "--config", uc_a, "--out", out]) == 0
+        assert main(["compare", "--config", f"{scenarios}/proposal_a.json",
+                     "--config", f"{scenarios}/proposal_b.json",
+                     "--pillars", f"{pillars}/proposal_a_pillars.json",
+                     "--pillars", f"{pillars}/proposal_b_pillars.json", "--out", out]) == 0
+        summary = tracer.summary(since)
+        assert summary["report.render_report.calls"] == 2, summary
+        assert summary["report.write_atomic.calls"] == 2, summary
+        assert summary["scoring.trust_score.calls"] > 0, summary
     """)
     result = subprocess.run(
-        [sys.executable, "-c", script, str(scenario_dir / "uc_a.json"), str(tmp_path)],
+        [sys.executable, "-c", script, str(scenario_dir), str(pillar_dir), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "bench")])},
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "emissions.csv").exists()
+    for name in ("trust_report.json", "factsheet.json", "emissions.csv", "comparison.json"):
+        assert (tmp_path / name).exists(), name

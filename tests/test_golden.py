@@ -1,11 +1,11 @@
-"""The equivalence oracle: every pinned ``simulate`` case gives its pinned bytes."""
+"""The equivalence oracle: every pinned case gives its pinned bytes."""
 
 import json
 
 import golden
 
 
-def test_simulate_outputs_match_the_golden_table():
+def test_outputs_match_the_golden_table():
     pinned = json.loads(golden.TABLE.read_text(encoding="utf-8"))
     cases = golden.cases()
     assert sorted(pinned) == sorted(cases)

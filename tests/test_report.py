@@ -26,6 +26,7 @@ from fedsust.report import (
     render_report,
     resolve_pillar_value,
     write_atomic,
+    write_report,
 )
 from fedsust.scoring import ScoreError, aggregate, trust_score
 from fedsust.sustainability import (
@@ -505,8 +506,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("long_first", [True, False])
     def test_first_row_block_unlike_the_rest(self, long_first):
-        # the first row block sizes the buffer for the rest: shorter rows after it leave room
-        # that is cut off where the document ends, and longer ones grow the buffer
+        # the rows after the first row block are much shorter or much longer than its own
         k = 8
         n = 3 * block_rows(ClientTable, k)
         long = np.arange(n) < n // 3 if long_first else np.arange(n) >= n // 3
@@ -551,3 +551,37 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert len(data) > 10**7
         assert peak <= 1.5 * len(data)
+
+    def test_factsheet_streamed_to_its_file(self, tables, tmp_path):
+        # write_report never holds the document: each row block goes to the temp file
+        config = make_config(num_clients=20_000, sample_size=10, selection_rate=10 / 20_000,
+                             total_rounds=50, num_label_classes=10, dataset_size=500, seed=3)
+        sheet = populate_factsheet(config, run_federation(config, tables))
+        target = tmp_path / "factsheet.json"
+        write_report(target, sheet)
+        tracemalloc.start()
+        try:
+            write_report(target, sheet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = target.read_bytes()
+        assert len(data) > 10**7
+        assert peak <= 0.5 * len(data)
+        assert data == render_report(sheet)
+
+    @pytest.mark.parametrize("after, error", [(math.nan, ValueError), ({1: "int key"}, TypeError)],
+                             ids=["non-finite", "int-key"])
+    def test_failure_partway_keeps_the_earlier_file(self, tmp_path, after, error):
+        # the error comes after a per-client block of several row blocks has been written
+        table = seeded_table(7, 3 * block_rows(ClientTable, 4), 4, 40, 9)
+        document = {"clients": table, "later": after}
+        with pytest.raises(error) as rendered:
+            render_report(document)
+        target = tmp_path / "factsheet.json"
+        target.write_bytes(b"earlier\n")
+        with pytest.raises(error) as written:
+            write_report(target, document)
+        assert str(written.value) == str(rendered.value)
+        assert target.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["factsheet.json"]
