@@ -15,7 +15,7 @@ import io
 import math
 import operator
 from collections.abc import Sequence
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -29,6 +29,7 @@ __all__ = [
     "EmissionRecord",
     "EmissionsError",
     "EmissionsLog",
+    "NodeIds",
     "PHASES",
     "ROLES",
     "ROW_FIELDS",
@@ -137,14 +138,39 @@ def track_phase(
     return record
 
 
+class NodeIds(Sequence):
+    """Read-only sequence of 16-character ids held as one text, not as one ``str`` each:
+    item ``i`` is the id at position ``ranks[i]`` of the text, or at ``i`` without ``ranks``."""
+
+    __slots__ = ("text", "ranks")
+
+    def __init__(self, text: str, ranks: np.ndarray | None = None) -> None:
+        self.text, self.ranks = text, ranks
+
+    def __len__(self) -> int:
+        return len(self.text) >> 4
+
+    def __getitem__(self, index: int) -> str:  # a range and an array raise IndexError past either end
+        at = 16 * (range(len(self))[index] if self.ranks is None else int(self.ranks[index]))
+        return self.text[at:at + 16]
+
+    def ascending(self) -> bool:
+        """Whether the ids strictly ascend, compared as one array of 16-byte strings."""
+        import numpy as np
+
+        ids = np.frombuffer(self.text.encode("ascii"), dtype="S16")
+        ids = ids if self.ranks is None else ids[self.ranks]
+        return bool((ids[1:] > ids[:-1]).all())
+
+
 class EmissionsLog:
     """Emission rows stored as batches of rounds.
 
     A node is a role, a node id and one or more priced rows ``(phase,
     duration_s, energy_kwh, intensity, co2eq_g)``. A log made from a run's
     prices holds one node per client, ``node_ids[c]`` with ``client_rows[c]``,
-    and the server node with ``server_row``; these rows are not checked, so
-    each client's must be in CSV order and every row priced by
+    and the server node with ``server_row``; the ids are kept, not copied, and the rows
+    are not checked, so each client's must be in CSV order and every row priced by
     :func:`estimate_energy` and :func:`energy_to_co2`. A batch is a first
     round, an int32 array of node indices with a row per round, and the tail
     nodes logged after each row: :meth:`add_rounds` logs drawn clients with the
@@ -165,30 +191,32 @@ class EmissionsLog:
                  server_row: tuple | None = None) -> None:
         if len(node_ids) != len(client_rows):
             raise EmissionsError(f"{len(node_ids)} node ids for {len(client_rows)} clients' rows")
-        self._roles = ["client"] * len(node_ids)
-        self._node_ids = list(node_ids)
+        self._ids = node_ids
         self._rows = list(client_rows)
         self._clients = len(self._rows)
+        self._others: list[tuple[str, str]] = []  # (role, node id) of node clients + i: server, added
         # whether every batch continued CSV order; a round's clients can do so only when
         # the client node ids strictly ascend, which is learned here, once
-        self._ordered = all(map(operator.lt, self._node_ids, self._node_ids[1:]))
+        self._ordered = (node_ids.ascending() if isinstance(node_ids, NodeIds)
+                         else all(map(operator.lt, node_ids, islice(node_ids, 1, None))))
         self._server = () if server_row is None else (self._node("server", "server", (server_row,)),)
         self._blocks: list[tuple[int, np.ndarray, int, tuple]] = []  # (first round, rows, rounds a row, tail)
         self._last_key: tuple = ()  # sort key of the last row logged
         self._tallied: tuple = (-1, None)  # (batches tallied, tally)
 
     def _node(self, role: str, node_id: str, rows: tuple) -> int:
-        self._roles.append(role)
-        self._node_ids.append(node_id)
+        self._others.append((role, node_id))
         self._rows.append(rows)
         return len(self._rows) - 1
 
+    def _name(self, node: int) -> tuple[str, str]:  # the node's role and node id
+        return ("client", self._ids[node]) if node < self._clients else self._others[node - self._clients]
+
     def _log(self, first_round: int, nodes: np.ndarray, repeats: int, tail: tuple, ascending: bool) -> None:
         first, last = (int(nodes[0, 0]) if nodes.shape[1] else tail[0]), (tail or nodes[-1].tolist())[-1]
-        first_key = (first_round, self._roles[first], self._node_ids[first], *self._rows[first][0][:4])
+        first_key = (first_round, *self._name(first), *self._rows[first][0][:4])
         self._ordered = self._ordered and ascending and self._last_key <= first_key
-        self._last_key = (first_round + len(nodes) * repeats - 1, self._roles[last], self._node_ids[last],
-                          *self._rows[last][-1][:4])
+        self._last_key = (first_round + len(nodes) * repeats - 1, *self._name(last), *self._rows[last][-1][:4])
         self._blocks.append((first_round, nodes, repeats, tail))
 
     def add(self, record: EmissionRecord) -> None:
@@ -244,7 +272,7 @@ class EmissionsLog:
             counts = np.bincount(group, times[clients]).tolist()
             counted = [("client", shared[first[g]], counts[g]) for g in np.argsort(first).tolist()]
             others = np.flatnonzero(times[self._clients:]) + self._clients  # the server and added nodes
-            counted += [(self._roles[node], self._rows[node], times[node]) for node in others.tolist()]
+            counted += [(self._name(node)[0], self._rows[node], times[node]) for node in others.tolist()]
             priced: dict[tuple, list] = {}
             for role, rows, count in counted:
                 for row in rows:
@@ -254,8 +282,8 @@ class EmissionsLog:
 
     def _expanded(self):
         """Every row as a ``ROW_FIELDS`` tuple, in the order logged."""
-        roles, node_ids, rows = self._roles, self._node_ids, self._rows
-        return ((t, roles[node], node_ids[node], *row)
+        name, rows = self._name, self._rows
+        return ((t, *name(node), *row)
                 for first, nodes, repeats, tail in self._blocks for i, clients in enumerate(nodes)
                 for t in range(first + i * repeats, first + (i + 1) * repeats)
                 for node in (*clients.tolist(), *tail) for row in rows[node])
@@ -312,23 +340,27 @@ class EmissionsLog:
         import numpy as np
 
         times, priced = self._tally()
-        logged = np.flatnonzero(times).tolist()
-        clients = [node for node in logged if node not in self._server]
-        widths = {len(self._rows[node]) for node in clients}
+        logged, rows = np.flatnonzero(times).tolist(), self._rows
+        listed = [node for node in logged if node not in self._server]
+        widths = {len(rows[node]) for node in listed}
         if not self._ordered or len(widths) > 1:  # sorted, or client nodes of unequal row counts
-            rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in rows])
-                      for t, rows in groupby(self._csv_rows(), key=_ROUND))
+            rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in group])
+                      for t, group in groupby(self._csv_rows(), key=_ROUND))
         else:
             # a priced row's text formatted once, keyed by identity: 0.0 == -0.0, but they print apart
             texts = {id(row): f"{row[0]},{_numbers(row[1:])}\n" for _, row, _ in priced}
-            roles, node_ids, rows = self._roles, self._node_ids, self._rows
+            # a client's id is sliced from a NodeIds text without a call, so only logged ones are made
+            ids, clients, name = self._ids, self._clients, self._name
+            hexes = type(ids) is NodeIds and ids.ranks is None and ids.text
 
             def lines(nodes) -> list[str]:  # the CSV lines of ``nodes`` without the round
-                return [f"{roles[node]},{node_ids[node]},{texts[id(row)]}" for node in nodes for row in rows[node]]
+                return [f"client,{hexes[16 * node:16 * node + 16] if hexes else ids[node]},{texts[id(row)]}"
+                        if node < clients else "{},{},{}".format(*name(node), texts[id(row)])
+                        for node in nodes for row in rows[node]]
 
             cells = np.empty((len(rows), max(widths, default=0)), dtype=object)  # client lines by node
-            if clients:
-                cells[clients] = np.array(lines(clients), dtype=object).reshape(len(clients), -1)
+            if listed:
+                cells[listed] = np.array(lines(listed), dtype=object).reshape(len(listed), -1)
             # a batch row by row, never all its lines at once; a row's lines made once for its rounds
             rounds = ((t, text) for first, nodes, repeats, tail in self._blocks for tail_text in [lines(tail)]
                       for i, drawn in enumerate(nodes) for text in [cells[drawn].ravel().tolist() + tail_text]

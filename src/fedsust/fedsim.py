@@ -58,19 +58,19 @@ Synthetic label splits come from one run-wide Philox4x64-10 stream
 Client records
 --------------
 Every client is hashed once per run under :func:`run_salt`, by one
-:func:`hash_client_ids` pass over the fleet. The node id of a client's
-emission rows is also its key in the factsheet. Per-client data is held in
-columns by :class:`ClientTable`, an immutable class with ``__slots__``; the
-factsheet's writer formats each client's entry from those columns, and
-:class:`SelectionCounts` reads them as a mapping from node id to rounds
-drawn. The node ids are sorted once per run, by one stable argsort of their
-8-byte values (16 lowercase hex characters sort as the big-endian integer
-they spell), for the factsheet and for the rounds.
-The run's emissions log holds the clients in that order, node ``r`` for the
+:func:`hash_client_ids` pass that writes the fleet's 8-byte digests into one
+``bytes``. One stable argsort of them as big-endian integers sorts the fleet
+by node id (16 lowercase hex characters sort as the integer they spell), and
+the sorted digests are hex-encoded once: the node ids are one text in node-id
+order, and an id becomes a ``str`` only when an output writes its row. The
+node id of a client's emission rows is also its key in the factsheet.
+Per-client data is held in columns by :class:`ClientTable`, whose ``node_ids``
+view reads that text by client; the factsheet's writer slices each row block's
+ids from it, and the run's emissions log keeps it uncopied, node ``r`` for the
 client of node-id rank ``r``, so each batch of rounds is logged as drawn: an
 int32 array of ranks, each row sorted. A fleet whose ids collide writes its
-CSV sorted. Each client's rounds drawn are the log's count of its node, and
-the table holds those counts as the log does, in node-id order.
+CSV sorted. Each client's rounds drawn are the log's count of its node, held
+by the table in node-id order and read by :class:`SelectionCounts` by node id.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
@@ -94,13 +94,14 @@ array.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import ConfigError, FederationConfig, FrozenRecord
-from .emissions import EmissionsLog, energy_to_co2, estimate_energy
+from .emissions import EmissionsLog, NodeIds, energy_to_co2, estimate_energy
 # track_phase is unused here; bench/tracer.py patches fedsim.track_phase
 from .emissions import track_phase  # noqa: F401
 from .refdata import ReferenceTables
@@ -288,17 +289,16 @@ def hash_client_id(salt: bytes, client_index: int) -> str:
     return hashlib.sha256(salt + b"client:" + client_index.to_bytes(8, "big")).hexdigest()[:16]
 
 
-def hash_client_ids(salt: bytes, num_clients: int) -> list[str]:
-    """:func:`hash_client_id` of clients ``0 .. num_clients - 1``, in one pass: the salted
-    prefix is hashed once and copied per client, and the digests are hex-encoded at once."""
+def hash_client_ids(salt: bytes, num_clients: int) -> bytes:
+    """The 8-byte digests of clients ``0 .. num_clients - 1`` in one ``bytes``, client ``c``'s at
+    ``[8c, 8c + 8)``, whose hex is its :func:`hash_client_id`; the salted prefix is hashed once."""
     prefix = hashlib.sha256(salt + b"client:")
-    digests = []
+    out = io.BytesIO()
     for c in range(num_clients):
         digest = prefix.copy()
         digest.update(c.to_bytes(8, "big"))
-        digests.append(digest.digest()[:8])
-    text = b"".join(digests).hex()
-    return [text[i:i + 16] for i in range(0, len(text), 16)]
+        out.write(digest.digest()[:8])
+    return out.getvalue()
 
 
 def hash_label(salt: bytes, label: str) -> str:
@@ -307,7 +307,7 @@ def hash_label(salt: bytes, label: str) -> str:
 
 
 # Most label cells drawn and rounded at once, bounding the draw's temporaries.
-_LABEL_BLOCK_CELLS = 1 << 16
+_LABEL_BLOCK_CELLS = 1 << 14
 
 
 def _label_bit_generator(seed: int) -> np.random.Philox:
@@ -375,10 +375,11 @@ def client_class_counts(seed: int, client_index: int, dataset_size: int, num_cla
 class ClientTable(FrozenRecord):
     """Per-client columns of a run, row ``c`` for client index ``c``.
 
-    ``node_ids[c]`` is the client's salted hash, ``class_counts[c, j]`` its
-    samples of class ``j``, whose salted hash is ``labels[j]``; ``node_order``
-    lists the rows sorted by node id, the factsheet's order, and ``counts[r]``
-    is the rounds client ``node_order[r]`` was drawn in. With the run's
+    ``node_ids[c]`` is the client's salted hash, read from the text ``node_ids.text``
+    of 16-character hex ids in node-id order (given as that text or a list by client),
+    ``class_counts[c, j]`` its samples of class ``j``, whose salted hash is ``labels[j]``;
+    the int array ``node_order`` lists the rows sorted by node id, the factsheet's order,
+    and ``counts[r]`` is the rounds client ``node_order[r]`` was drawn in. With the run's
     ``rounds``, ``dataset_size`` and per-round ``train_s`` these determine its
     factsheet entry: ``participation_rate`` is its count over ``rounds``, and
     ``avg_training_time_s`` is ``train_s`` summed count times and divided by
@@ -390,11 +391,21 @@ class ClientTable(FrozenRecord):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, node_ids: list[str], node_order: list[int], counts: list[int], class_counts,
+    def __init__(self, node_ids: str | list[str], node_order, counts: list[int], class_counts,
                  labels: list[str], rounds: int, dataset_size: int, train_s: float) -> None:
+        import numpy as np
+
+        order = np.asarray(node_order, dtype=np.intp)
+        if not isinstance(node_ids, str):
+            node_ids = [node_ids[c] for c in order.tolist()]
+            if {*map(len, node_ids)} - {16} or "".join(node_ids).strip("0123456789abcdef"):
+                raise SimulationError("node ids must be 16 lowercase hex characters each")
+            node_ids = "".join(node_ids)
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
         init = object.__setattr__
-        init(self, "node_ids", node_ids)
-        init(self, "node_order", node_order)
+        init(self, "node_ids", NodeIds(node_ids, ranks))
+        init(self, "node_order", order)
         init(self, "counts", counts)
         init(self, "class_counts", class_counts)
         init(self, "labels", labels)
@@ -410,7 +421,8 @@ class ClientTable(FrozenRecord):
     def row_of(self) -> dict[str, int]:
         """Node id -> its row of ``counts``, its position in ``node_order``; built on first use."""
         if self._row_of is None:
-            object.__setattr__(self, "_row_of", {self.node_ids[c]: r for r, c in enumerate(self.node_order)})
+            text = self.node_ids.text
+            object.__setattr__(self, "_row_of", {text[at:at + 16]: r for r, at in enumerate(range(0, len(text), 16))})
         return self._row_of
 
 
@@ -582,12 +594,12 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     n, m, rounds, seed = config.num_clients, config.sample_size, config.total_rounds, config.seed
     salt = run_salt(seed)
 
-    node_ids = hash_client_ids(salt, n)
-    # 16 lowercase hex characters sort as the big-endian integer they spell
-    order = np.argsort(np.frombuffer(bytes.fromhex("".join(node_ids)), dtype=">u8"), kind="stable")
+    digests = np.frombuffer(hash_client_ids(salt, n), dtype=">u8")
+    order = np.argsort(digests, kind="stable")
+    # 16 lowercase hex characters sort as the big-endian integer they spell: the ids in node-id order
+    node_ids = digests[order].data.hex()
     ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
     ranks[order] = np.arange(n)
-    node_order = order.tolist()
     # client c has the hardware entry whose consecutive indices hold c, and the location entry;
     # each (hardware, location) pair's rows are looked up once and gathered in node-id order
     hardware = np.searchsorted(np.cumsum(_assign_by_share(prices.client_tdp, n)), order, side="right")
@@ -597,8 +609,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
         for j, (_, intensity) in enumerate(prices.client_intensity):
             pair_rows[i, j] = prices.client_rows[tdp, intensity]
     # the log's node r is the client of node-id rank r, so a round's block is its sorted ranks
-    log = EmissionsLog(np.array(node_ids, dtype=object)[order].tolist(), pair_rows[hardware, location].tolist(),
-                       prices.server_row)
+    log = EmissionsLog(NodeIds(node_ids), pair_rows[hardware, location].tolist(), prices.server_row)
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]
@@ -616,7 +627,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     else:
         for batch, drawn in _batches(seed, rounds, n, m, ranks):
             log.add_rounds(batch.start, drawn)
-    clients = ClientTable(node_ids, node_order, log.times_logged()[:n], label_counts, hashed_labels,
+    clients = ClientTable(node_ids, order, log.times_logged()[:n], label_counts, hashed_labels,
                           rounds, config.dataset_size, prices.train_s)
     return FederationState(round=rounds, class_distribution=class_distribution, emissions=log,
                            clients=clients)

@@ -354,7 +354,7 @@ def _render(report: dict, out: BinaryIO) -> None:
     """Write the bytes of :func:`render_report` to ``out``: the text before each per-client
     block, then each of its row blocks as it is made, then the rest."""
     chunks: list[str] = []
-    _write_json(report, chunks, "\n", {}, out)
+    _write_json(report, chunks, "\n", out)
     chunks.append("\n")
     out.write("".join(chunks).encode("utf-8"))
 
@@ -370,7 +370,7 @@ _SCALARS = {str: encode_basestring, int: int.__repr__, float: _finite_repr,
             bool: lambda v: "true" if v else "false", type(None): lambda _: "null"}
 
 
-def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: BinaryIO) -> None:
+def _write_json(value, chunks: list[str], newline: str, out: BinaryIO) -> None:
     """Append the JSON of ``value``, laid out at the padding of ``newline``, to ``chunks``;
     a per-client block first writes the text in ``chunks`` to ``out`` and empties it."""
     kind = type(value)
@@ -390,7 +390,7 @@ def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: Bina
             write = scalar(type(item))
             if write is None:
                 emit(prefix)
-                _write_json(item, chunks, inner, indexed, out)
+                _write_json(item, chunks, inner, out)
             else:
                 emit(prefix + write(item))
         emit(newline + "}")
@@ -399,13 +399,13 @@ def _write_json(value, chunks: list[str], newline: str, indexed: dict, out: Bina
         separator = "[" + inner
         for item in value:
             chunks.append(separator)
-            _write_json(item, chunks, inner, indexed, out)
+            _write_json(item, chunks, inner, out)
             separator = "," + inner
         chunks.append(newline + "]")
     elif kind is dict or kind is list or kind is tuple:
         chunks.append("{}" if kind is dict else "[]")
     elif kind is SelectionCounts or kind is ClientTable:
-        _write_clients(value, chunks, newline, indexed, out)
+        _write_clients(value, chunks, newline, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -430,15 +430,14 @@ def _index(values: np.ndarray) -> tuple[list[int], Callable[[np.ndarray], np.nda
     return distinct.tolist(), partial(np.searchsorted, distinct)
 
 
-def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str,
-                   indexed: dict, out: BinaryIO) -> None:
+def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newline: str, out: BinaryIO) -> None:
     """Write a per-client block in node-id order, in row blocks of at most ``_BLOCK_CELLS``
     text cells: the text so far in ``chunks`` is encoded and written to ``out``, then each
     row block's cells are made, joined, encoded and written to ``out`` before the next. A
-    row is the separator (the open brace in the block's first row), the node id and the
-    entry's cells. Once per table, into ``indexed``, the node ids are quoted and the counts
-    indexed (:func:`_index`), so both blocks share them and each entry's cells are made once
-    per distinct count; the class counts' digits are made once per distinct value."""
+    row is the separator and quote, the node id sliced from the table's text of hex ids (no
+    escape needed), and the entry's cells from the closing quote. The counts are indexed
+    (:func:`_index`), so each entry's cells are made once per distinct count, and the class
+    counts' digits once per distinct value."""
     table = value.table if type(value) is SelectionCounts else value
     n = len(table)
     if not n:
@@ -447,11 +446,9 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
     import numpy as np
 
     inner, field = newline + "  ", newline + "    "
-    if table not in indexed:
-        counts = np.asarray(table.counts)
-        indexed[table] = (np.array([*map(encode_basestring, map(table.node_ids.__getitem__, table.node_order))],
-                                  dtype=object), counts, *_index(counts))
-    ids, counts, distinct, count_key = indexed[table]
+    counts = np.asarray(table.counts)
+    distinct, count_key = _index(counts)
+    ids = table.node_ids.text
     if table is value:
         heads, tails = [], []
         seconds, summed = 0.0, 0
@@ -459,7 +456,7 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
             while summed < count:  # the repeated sum, not train_s: (0.1 + 0.1 + 0.1) / 3 != 0.1
                 seconds += table.train_s
                 summed += 1
-            heads.append(f': {{{field}"avg_training_time_s": {_finite_repr(seconds / (count or 1))},'
+            heads.append(f'": {{{field}"avg_training_time_s": {_finite_repr(seconds / (count or 1))},'
                          f'{field}"class_balance": {{{field}  ')
             tails.append(f'{field}}},{field}"dataset_size": {int.__repr__(table.dataset_size)},'
                          f'{field}"participation_rate": {_finite_repr(count / table.rounds)}{inner}}}')
@@ -472,10 +469,10 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
         forms = np.array([form for name in names for form in ("", name, f",{field}  {name}")], dtype=object)
         values, digit_key = _index(table.class_counts)
         digits = np.array([int.__repr__(v) if v else "" for v in values], dtype=object)
-        order, by_label, columns = np.asarray(table.node_order), np.array(by_label), 3 * np.arange(k)
+        order, by_label, columns = table.node_order, np.array(by_label), 3 * np.arange(k)
         width = 2 * k + 4
     else:
-        entries = np.array([": " + int.__repr__(c) for c in distinct], dtype=object)
+        entries = np.array(['": ' + int.__repr__(c) for c in distinct], dtype=object)
         width = 3
     out.write("".join(chunks).encode("utf-8"))
     chunks.clear()
@@ -484,8 +481,8 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
         last = min(first + step, n)
         at = count_key(counts[first:last])
         cells = np.empty((last - first, width), dtype=object)
-        cells[:, 0] = "," + inner
-        cells[:, 1] = ids[first:last]
+        cells[:, 0] = "," + inner + '"'
+        cells[:, 1] = np.array([ids[16 * first:16 * last]]).view("<U16")
         if table is value:
             rows = table.class_counts.take(order[first:last], axis=0)[:, by_label]
             nonzero = rows != 0
@@ -499,7 +496,7 @@ def _write_clients(value: SelectionCounts | ClientTable, chunks: list[str], newl
         else:
             cells[:, 2] = entries[at]
         if not first:
-            cells[0, 0] = "{" + inner
+            cells[0, 0] = "{" + inner + '"'
         cells = cells.ravel().tolist()  # the array is freed before the join
         out.write("".join(cells).encode("utf-8"))
     chunks.append(newline + "}")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 from fedsust import cli, fedsim
 from fedsust.cli import main
 from fedsust.report import load_pillar_fixture
@@ -27,6 +28,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def check_golden(name: str) -> None:
+    """Run one case of the golden table and compare it with the table's entry."""
+    assert golden.run_case(golden.cases()[name]) == golden.pinned()[name]
 
 
 _HARDWARE = ("Intel Core i7-1250U", "AMD FX-9590", "Intel Xeon E5-2650", "NVIDIA GeForce RTX 3060")
@@ -590,50 +596,19 @@ class TestScore:
         assert code == 1
         assert "error: validation:" in err
 
-    # SHA-256 of the one file each trust-path run writes; a change that alters these
-    # bytes on purpose updates the digests and says why
-    _TRUST_PATH_PINNED = {
-        "score-uc_a": "70c9e7f3aa33c800a58325c7e9eacb488e96cc72c0ecce10bab230589a780337",
-        "score-uc_b": "b7e426fa10163150bb637703288281b51548a9e624b90f33a0b5dedc65e6343e",
-        "score-uc_c": "c0ae9fe516b8914b06311276b633499af641b711a0e7676fb8437bc181253048",
-        "score-uc_d": "a69d13d4d1c1db0788b40925a56dc0ea5a12929b750395abcb8e2ba1c633833d",
-        "score-proposal_a": "8e7dbad8110ee5a8655bc9893b9c6e9e647e53430920977b33ed977e242e4b4c",
-        "score-proposal_b": "27fb0b43e6b55a9463975f8adeffc1c9639bfd01f1f6a86be6e70a78fd520e1c",
-        "score-desk_scale_1000": "aba90ba251819415a1c7f8b4cf7962f083c004f7cabdaa60611a5238a04ba856",
-        "score-proposal_b-pillars": "2fd4f7bb8609ba2eac665817a753daf5adea38fa4a6a6f122b60c60d0e2c5ce1",
-        "score-proposal_b-renormalized": "143f778234a8f8f033842e9acb92f7cd01a7b7956709ddab7fc6a48f89392f15",
-        "compare-proposals": "c2bb6af1aef30cbfdb8b35f73db3f7dae2b17134f8275d3cec76bf5bc5cab357",
-        "compare-proposals-carbon_emphasis": "ff23a215f28cdbd3893b470e4e57a46815d7b8da3cd48e9d932c55789ff47b31",
+    # each trust-path case's golden-table entry (tests/golden.py), which holds its digests
+    _TRUST_PATH_CASES = {
+        **{f"score-{name}": f"score {name}" for name in
+           ("uc_a", "uc_b", "uc_c", "uc_d", "proposal_a", "proposal_b", "desk_scale_1000")},
+        "score-proposal_b-pillars": "score proposal_b pillars",
+        "score-proposal_b-renormalized": "score proposal_b allow-partial without robustness weights=pillar_weights",
+        "compare-proposals": "compare proposal_a proposal_b",
+        "compare-proposals-carbon_emphasis": "compare proposal_a proposal_b weights=carbon_emphasis",
     }
 
-    @pytest.mark.parametrize("case", sorted(_TRUST_PATH_PINNED))
-    def test_trust_path_bytes_pinned(self, capsys, tmp_path, uc, pillars, pillar_dir,
-                                     scenario_dir, case):
-        command, name, *variant = case.split("-")
-        if command == "compare":
-            argv = ["--config", uc("proposal_a"), "--config", uc("proposal_b"),
-                    "--pillars", pillars("proposal_a"), "--pillars", pillars("proposal_b")]
-            if variant:
-                argv += ["--weights", str(scenario_dir.parent / "weights" / "carbon_emphasis.json")]
-        elif variant == ["pillars"]:
-            argv = ["--config", uc(name), "--pillars", pillars(name)]
-        elif variant == ["renormalized"]:
-            fixture = json.loads((pillar_dir / "proposal_b_pillars.json").read_text())
-            del fixture["pillars"]["robustness"]
-            (tmp_path / "p.json").write_text(json.dumps(fixture))
-            (tmp_path / "w.json").write_text(json.dumps({
-                "sustainability": 0.4, "privacy": 0.2, "robustness": 0.1, "fairness": 0.1,
-                "explainability": 0.1, "accountability": 0.05, "federation": 0.05,
-            }))
-            argv = ["--config", uc(name), "--pillars", str(tmp_path / "p.json"),
-                    "--weights", str(tmp_path / "w.json"), "--allow-partial"]
-        else:
-            argv = ["--config", uc(name)]
-        code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "out"))
-        assert code == 0 and not err
-        written = "comparison.json" if command == "compare" else "trust_report.json"
-        digest = hashlib.sha256((tmp_path / "out" / written).read_bytes()).hexdigest()
-        assert digest == self._TRUST_PATH_PINNED[case]
+    @pytest.mark.parametrize("case", sorted(_TRUST_PATH_CASES))
+    def test_trust_path_bytes_pinned(self, case):
+        check_golden(self._TRUST_PATH_CASES[case])
 
     # every place a group of weights or shares is read; each must sum to 1 within 1e-9
     _WEIGHT_GROUPS = ("tree-weights", "pillar-weights", "pillar-weights-partial", "notion-weights",
@@ -764,81 +739,14 @@ class TestSimulate:
         assert err.startswith("error: validation:")
         assert not (tmp_path / "out").exists()
 
-    def test_desk_scale_bytes_pinned(self, capsys, tmp_path, uc):
-        # SHA-256 of each output of `simulate` on desk_scale_1000 at --seed 3; a change
-        # that alters these bytes on purpose updates the digests and says why
-        code, _, _ = run(capsys, "simulate", "--config", uc("desk_scale_1000"), "--seed", "3",
-                         "--out", str(tmp_path))
-        assert code == 0
-        pinned = {
-            "trust_report.json": "082e551ce4b9afe52218d2aedf698b0c92a24b2646dc409e11fab22a200b1b4f",
-            "factsheet.json": "6f9c7c979111dc5033641493fffdd987550a75823694d81733ad7a8e753c3f59",
-            "emissions.csv": "6915b4be7648fa720491ce0b8f1191ce0bf245043b1d12fe362ef0e241a8d05b",
-        }
-        for name, digest in pinned.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    def test_desk_scale_bytes_pinned(self):
+        # desk_scale_1000 at --seed 3; its digests are in the golden table
+        check_golden("simulate desk_scale_1000 seed=3")
 
-    # A wide fleet where most clients are never drawn, a small long run whose
-    # rows hold zero counts (dataset_size < num_label_classes) and whose repeated
-    # training-time sums differ from the single duration, and a full-participation
-    # run (sample_size = num_clients), whose rounds all draw every client.
-    _WIDE_FLEETS = {
-        "wide": dict(num_clients=5000, sample_size=10, total_rounds=20, dataset_size=500,
-                     num_label_classes=10, local_rounds=2, model_size=1_600_000, seed=11),
-        "zero_counts": dict(num_clients=200, sample_size=9, total_rounds=100, dataset_size=5,
-                            num_label_classes=12, local_rounds=3, model_size=98_765, seed=2**63 + 5),
-        "full": dict(num_clients=40, sample_size=40, total_rounds=25, dataset_size=64,
-                     num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 9),
-        # rounds drawn in a batch of 81 (numpy steps) and one of 4 (list swaps)
-        "batches": dict(num_clients=1000, sample_size=800, total_rounds=85, dataset_size=64,
-                        num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 19),
-    }
-    _WIDE_PINNED = {
-        "wide": {
-            "trust_report.json": "d62509c8eab8115f6861ae4ad78944d76c79fb3e038565724a60573401b7df36",
-            "factsheet.json": "fcd1d7296b1679dad69e3c4e7d503fcc34072cfad316b363d349635029414e33",
-            "emissions.csv": "d1abeae4fdff97b8b3df379e9150a3cf781ae7ad9606a1a8b5e5a98d8cf317cf",
-        },
-        "zero_counts": {
-            "trust_report.json": "f1196cb1113d3cb7d529cafa83d1ca52159d1f31fb229b37b6ca0fcfa9f44f0d",
-            "factsheet.json": "539f533c6daa60bdf30c125fdc8fd7820bc074150e3533d1c663061e757a8bde",
-            "emissions.csv": "eaf0ef7136fda7d85b40dc7715ada412a39e10c8f53a008afa61a67f99ad469e",
-        },
-        "full": {
-            "trust_report.json": "aac26a3217f2b3cffe30f6ce3f44efeb771c353316b2d90f71df84185112ce66",
-            "factsheet.json": "9753b95d606fd1ef33eaa386fb204ac65bd17139f7a0711f7a6762c12e63f80f",
-            "emissions.csv": "2e9a871d87c283d1642c98fb0081efb43f4616c35e71431f3595191e7703e755",
-        },
-        "batches": {
-            "trust_report.json": "12ecab6b818b8b2cc982e3daecafa3f33a73687c0332e842eaf4dc324178cea9",
-            "factsheet.json": "a2fa494da2669a5fc34506a77f0b6d695395e4d8816e8505bc0b1cf1971194f8",
-            "emissions.csv": "175088ec964afadcc6bfef6fb596aebee2b3693eade60feb35fbb379f133f0f8",
-        },
-    }
-
-    @pytest.mark.parametrize("shape", sorted(_WIDE_FLEETS))
-    def test_wide_fleet_bytes_pinned(self, capsys, tmp_path, shape):
-        # SHA-256 of each output of `simulate` on a generated fleet with three hardware
-        # and three location entries; as for the desk pin, a deliberate change updates them
-        scenario = {
-            "name": f"pinned_{shape}",
-            **self._WIDE_FLEETS[shape],
-            "client_hardware": [{"share": 0.45, "model": "Intel Core i7-1250U"},
-                                {"share": 0.35, "model": "AMD FX-9590"},
-                                {"share": 0.2, "model": "NVIDIA GeForce RTX 3060"}],
-            "client_locations": [{"share": 0.5, "location": "ch"}, {"share": 0.3, "location": "ZA"},
-                                 {"share": 0.2, "location": "203.0.113.128"}],
-            "server_hardware": "Intel Xeon E5-2650",
-            "server_location": "node-eu-7",
-            "energy_model": {"cpu_utilization": 0.7, "comm_energy_per_byte": 1e-12},
-            "statistics": {"accuracy": 0.8125},
-        }
-        (tmp_path / "fleet.json").write_text(json.dumps(scenario))
-        code, _, _ = run(capsys, "simulate", "--config", str(tmp_path / "fleet.json"),
-                         "--out", str(tmp_path / "out"))
-        assert code == 0
-        for name, digest in self._WIDE_PINNED[shape].items():
-            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+    @pytest.mark.parametrize("shape", sorted(golden.FLEETS))
+    def test_wide_fleet_bytes_pinned(self, shape):
+        # a generated fleet with three hardware and three location entries (golden.FLEETS)
+        check_golden(f"simulate fleet_{shape}")
 
     def test_signed_zero_rows_print_their_sign(self, capsys, tmp_path, uc):
         # a -0.0 aggregation time prices the server's rows at -0.0 and a 0.0 training time

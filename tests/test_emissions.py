@@ -394,9 +394,9 @@ def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, cl
     original = fedsim.hash_client_ids
 
     def colliding(salt, num_clients):  # client 5 takes client 2's node id
-        node_ids = original(salt, num_clients)
-        node_ids[5] = node_ids[2]
-        return node_ids
+        digests = bytearray(original(salt, num_clients))
+        digests[40:48] = digests[16:24]
+        return bytes(digests)
 
     monkeypatch.setattr(fedsim, "hash_client_ids", colliding)
     state = run_federation(config, tables)

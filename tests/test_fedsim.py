@@ -9,11 +9,14 @@ plain Python integers and floats.
 """
 
 import copy
+import gc
 import hashlib
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -22,7 +25,9 @@ from hypothesis import strategies as st
 
 from fedsust import fedsim
 from fedsust.config import ConfigError, parse_config
+from fedsust.emissions import NodeIds
 from fedsust.fedsim import (
+    ClientTable,
     SelectionStream,
     SimulationError,
     aggregate_model,
@@ -358,7 +363,9 @@ class TestLabelStream:
     @pytest.mark.parametrize("n", [0, 1, 5, 1000])
     def test_fleet_hash_matches_each_client_hash(self, n):
         salt = run_salt(2**64 - 1)
-        assert hash_client_ids(salt, n) == [hash_client_id(salt, c) for c in range(n)]
+        digests = hash_client_ids(salt, n)
+        assert type(digests) is bytes and len(digests) == 8 * n
+        assert [digests[8 * c:8 * c + 8].hex() for c in range(n)] == [hash_client_id(salt, c) for c in range(n)]
 
     def test_run_hashes_the_column_totals(self, tables):
         config = make_config(num_clients=30, dataset_size=7, num_label_classes=12)
@@ -374,6 +381,68 @@ class TestLabelStream:
             assert {clients.labels[j]: int(v) for j, v in enumerate(clients.class_counts[c]) if v} == {
                 hash_label(salt, f"class_{j}"): int(v) for j, v in enumerate(batch[c]) if v
             }
+
+
+class TestNodeIds:
+    """A run's node ids are one sorted text; ``clients.node_ids`` reads it by client index."""
+
+    def test_view_reads_as_the_list_of_client_ids(self, tables):
+        n = 37
+        config = make_config(num_clients=n, sample_size=5, total_rounds=4, num_label_classes=6, seed=2**63 + 1)
+        state = run_federation(config, tables)
+        salt = run_salt(config.seed)
+        expected = [hash_client_id(salt, c) for c in range(n)]
+        clients = state.clients
+        ids = clients.node_ids
+        assert isinstance(ids, Sequence) and len(ids) == len(clients) == n
+        assert list(ids) == [*iter(ids)] == expected
+        assert [ids[c] for c in range(-n, 0)] == expected
+        assert ids[np.int64(3)] == expected[3] and ids.index(expected[30]) == 30
+        for index in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                ids[index]
+        assert expected[12] in ids and "g" * 16 not in ids
+        assert ids.text == "".join(sorted(expected))
+        assert clients.node_order.tolist() == sorted(range(n), key=expected.__getitem__)
+        # the README's snippet
+        node_id = clients.node_ids[3]
+        assert node_id == hash_client_id(salt, 3)
+        assert clients.counts[clients.row_of[node_id]] == state.selection_counts[node_id]
+        assert type(state.selection_counts[node_id]) is int
+        assert {label: v for label, v in zip(clients.labels, clients.class_counts[3].tolist()) if v} == {
+            hash_label(salt, f"class_{j}"): v for j, v in enumerate(fleet_class_counts(config.seed, n, 100, 6)[3].tolist())
+            if v}
+
+    def test_log_holds_the_view_without_a_copy(self, tables):
+        state = run_federation(make_config(num_clients=9, sample_size=3, total_rounds=5), tables)
+        log_ids = state.emissions._ids
+        assert type(log_ids) is NodeIds and log_ids.ranks is None and log_ids.text is state.clients.node_ids.text
+        assert state.emissions._ordered and log_ids.ascending()
+
+    def test_run_state_holds_no_string_per_client(self, tables):
+        # after run_federation at N = 20 000 and k = 10, the state held beside the label array
+        # is a few columns of machine words and one text of node ids, not a string per client
+        run_federation(make_config(num_clients=50, sample_size=5), tables)  # first-call caches
+        n = 20_000
+        config = make_config(num_clients=n, sample_size=10, total_rounds=50, num_label_classes=10,
+                             dataset_size=500, seed=3)
+        prices = price_fleet(config, tables)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            state = run_federation(config, prices=prices)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held - state.clients.class_counts.nbytes <= 80 * n
+
+    def test_table_ids_must_be_hex_of_16_characters(self):
+        rows = np.zeros((2, 1), dtype=np.int64)
+        for ids in (["00ff00ff00ff00ff", "00ff00ff00ff00f"], ["00ff00ff00ff00ff", "00FF00FF00FF00FF"],
+                    ["00ff00ff00ff00f", "f00ff00ff00ff00ff"]):
+            with pytest.raises(SimulationError, match="16 lowercase hex"):
+                ClientTable(ids, [0, 1], [0, 0], rows, ["c"], 1, 0, 0.1)
 
 
 # ── full runs ─────────────────────────────────────────────────────────────

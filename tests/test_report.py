@@ -536,6 +536,20 @@ class TestRowBlocks:
         check_client_blocks(ClientTable(table.node_ids, table.node_order, counts, table.class_counts,
                                         table.labels, 3, 12, 0.1))
 
+    def test_table_from_a_list_renders_as_the_simulators(self, tables):
+        # a table built from a list of ids joins them into the simulator's text of ids
+        n = 3 * block_rows(ClientTable, 10) + 5
+        config = make_config(num_clients=n, sample_size=40, selection_rate=40 / n, total_rounds=30,
+                             num_label_classes=10, seed=11)
+        clients = run_federation(config, tables).clients
+        listed = ClientTable(list(clients.node_ids), clients.node_order.tolist(), clients.counts,
+                             clients.class_counts, clients.labels, clients.rounds, clients.dataset_size,
+                             clients.train_s)
+        assert listed.node_ids.text == clients.node_ids.text and list(listed.node_ids) == list(clients.node_ids)
+        for kind in (lambda table: table, SelectionCounts):
+            assert render_report({"block": kind(listed)}) == render_report({"block": kind(clients)})
+            check_block(kind(listed))
+
     def test_factsheet_held_once(self, tables):
         # the factsheet is held once, as its bytes: no joined text beside them, and no
         # index arrays over the whole table beside the buffer
