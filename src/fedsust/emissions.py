@@ -4,7 +4,8 @@ Energy is estimated, not measured: a phase drawing ``tdp`` watts at a given
 utilization for ``duration`` seconds consumes
 ``tdp * utilization * duration / 3.6e6`` kWh, and emits
 ``energy_kwh * grid_intensity`` grams of CO2eq. Rows accumulate in an
-:class:`EmissionsLog` of batches of rounds; the persisted CSV is in
+:class:`EmissionsLog`: batches of rounds of drawn clients, each round closed by
+the one server row, and records added one by one. The persisted CSV is in
 ``(round, role, node_id, phase)`` order so the file bytes are deterministic
 no matter in which order rows were added. An :class:`EmissionRecord` is immutable.
 """
@@ -164,67 +165,47 @@ class NodeIds(Sequence):
 
 
 class EmissionsLog:
-    """Emission rows stored as batches of rounds.
+    """Emission rows stored as batches of rounds, and records added one by one.
 
-    A node is a role, a node id and one or more priced rows ``(phase,
-    duration_s, energy_kwh, intensity, co2eq_g)``. A log made from a run's
-    prices holds one node per client, ``node_ids[c]`` with ``client_rows[c]``,
-    and the server node with ``server_row``; the ids are kept, not copied, and the rows
-    are not checked, so each client's must be in CSV order and every row priced by
-    :func:`estimate_energy` and :func:`energy_to_co2`. A batch is a first
-    round, an int32 array of node indices with a row per round, and the tail
-    nodes logged after each row: :meth:`add_rounds` logs drawn clients with the
-    server as the tail, :meth:`add` one record as a one-round batch of a new
-    node. When the client node ids strictly ascend, learned once, a batch whose
-    rows strictly ascend is in CSV order; otherwise the CSV is sorted.
+    A log made from a run's prices holds one client per node id, ``node_ids[c]``
+    with its priced rows ``client_rows[c]``, each ``(phase, duration_s, energy_kwh,
+    intensity, co2eq_g)``, and the server's one priced row ``server_row``; the ids
+    and rows are kept, not copied, and not checked, so each client's rows must be
+    in CSV order and every row priced by :func:`estimate_energy` and
+    :func:`energy_to_co2`. A batch is a first round, an int32 array of client
+    indices with a row per round, and how many rounds a row stands for; each
+    round logs its clients' rows, then the server row. :meth:`add` keeps a
+    record apart, as a ``ROW_FIELDS`` tuple, after every batch. When the client
+    node ids strictly ascend, learned once, a batch whose rows strictly ascend
+    and which starts after the last batch's rounds is in CSV order; otherwise,
+    or once a record is added, the CSV is sorted.
 
     The length, the totals and ``co2eq_by("phase" | "role")`` come from each
     distinct priced row and the number of times it was logged, counted a batch
     at a time: ``math.fsum`` is exactly rounded, so the sum of that multiset
     does not depend on row order, and it takes one term per power of two in a
     count. The CSV is written a round at a time, one join of line text made
-    once per logged node (row by row if client nodes hold unequal row counts).
-    Everything else expands the rows on demand.
+    once per logged client (row by row if logged clients hold unequal row
+    counts). Everything else expands the rows on demand.
     """
 
     def __init__(self, node_ids: Sequence[str] = (), client_rows: Sequence[tuple] = (),
                  server_row: tuple | None = None) -> None:
         if len(node_ids) != len(client_rows):
             raise EmissionsError(f"{len(node_ids)} node ids for {len(client_rows)} clients' rows")
-        self._ids = node_ids
-        self._rows = list(client_rows)
-        self._clients = len(self._rows)
-        self._others: list[tuple[str, str]] = []  # (role, node id) of node clients + i: server, added
+        self._ids, self._rows, self._server = node_ids, client_rows, server_row
         # whether every batch continued CSV order; a round's clients can do so only when
         # the client node ids strictly ascend, which is learned here, once
         self._ordered = (node_ids.ascending() if isinstance(node_ids, NodeIds)
                          else all(map(operator.lt, node_ids, islice(node_ids, 1, None))))
-        self._server = () if server_row is None else (self._node("server", "server", (server_row,)),)
-        self._blocks: list[tuple[int, np.ndarray, int, tuple]] = []  # (first round, rows, rounds a row, tail)
-        self._last_key: tuple = ()  # sort key of the last row logged
-        self._tallied: tuple = (-1, None)  # (batches tallied, tally)
-
-    def _node(self, role: str, node_id: str, rows: tuple) -> int:
-        self._others.append((role, node_id))
-        self._rows.append(rows)
-        return len(self._rows) - 1
-
-    def _name(self, node: int) -> tuple[str, str]:  # the node's role and node id
-        return ("client", self._ids[node]) if node < self._clients else self._others[node - self._clients]
-
-    def _log(self, first_round: int, nodes: np.ndarray, repeats: int, tail: tuple, ascending: bool) -> None:
-        first, last = (int(nodes[0, 0]) if nodes.shape[1] else tail[0]), (tail or nodes[-1].tolist())[-1]
-        first_key = (first_round, *self._name(first), *self._rows[first][0][:4])
-        self._ordered = self._ordered and ascending and self._last_key <= first_key
-        self._last_key = (first_round + len(nodes) * repeats - 1, *self._name(last), *self._rows[last][-1][:4])
-        self._blocks.append((first_round, nodes, repeats, tail))
+        self._blocks: list[tuple[int, np.ndarray, int]] = []  # (first round, clients, rounds a row)
+        self._next_round = 0  # the round after the last batch's
+        self._added: list[tuple] = []  # the added records' rows
+        self._tallied: tuple = (None, None)  # (batches and records tallied, tally)
 
     def add(self, record: EmissionRecord) -> None:
-        import numpy as np
-
-        row = (record.phase, record.duration_s, record.energy_kwh, record.intensity, record.co2eq_g)
-        node = self._node(record.role, record.node_id, (row,))
-        self._log(record.round, np.full((1, 1), node, dtype=np.int32), 1, (), True)
+        self._added.append(operator.attrgetter(*ROW_FIELDS)(record))
+        self._ordered = False
 
     def add_rounds(self, first_round: int, clients) -> None:
         """Log rounds from ``first_round``: row ``i`` of ``clients``, a ``(rounds, m)`` integer
@@ -234,59 +215,65 @@ class EmissionsLog:
         one row broadcast down it (``np.broadcast_to``) is checked and counted once."""
         import numpy as np
 
-        nodes = np.asarray(clients)
+        nodes, n = np.asarray(clients), len(self._ids)
         if nodes.ndim != 2 or nodes.size and nodes.dtype.kind not in "iu" or first_round < 0:
             raise EmissionsError(f"expected a round >= 0 and a (rounds, m) integer array, got "
                                  f"{first_round} and shape {nodes.shape} of {nodes.dtype}")
         nodes, repeats = (nodes[:1], len(nodes)) if len(nodes) > 1 and nodes.strides[0] == 0 else (nodes, 1)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._clients):
-            row, column = np.argwhere((nodes < 0) | (nodes >= self._clients))[0].tolist()
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+            row, column = np.argwhere((nodes < 0) | (nodes >= n))[0].tolist()
             raise EmissionsError(f"round {first_round + row}: client index {nodes[row, column]} "
-                                 f"is not in [0, {self._clients})")
-        if not self._server:
+                                 f"is not in [0, {n})")
+        if self._server is None:
             raise EmissionsError(f"round {first_round}: the log was made without a server row")
         if len(nodes):
             ascending = bool((nodes[:, 1:] > nodes[:, :-1]).all())
-            self._log(first_round, nodes.astype(np.int32, copy=False), repeats, self._server, ascending)
+            self._ordered = self._ordered and ascending and first_round >= self._next_round
+            self._next_round = first_round + len(nodes) * repeats
+            self._blocks.append((first_round, nodes.astype(np.int32, copy=False), repeats))
 
     def times_logged(self) -> list[int]:
-        """The rounds each node is logged in, by index into the log's node ids; a simulator
-        log's node ``r`` is client ``clients.node_order[r]``, counted in ``clients.counts[r]``."""
+        """The rounds each client is logged in, by index into the log's node ids, then the
+        server's; a simulator log's client ``r`` is ``clients.node_order[r]``, counted in
+        ``clients.counts[r]``."""
         return self._tally()[0].tolist()
 
     def _tally(self) -> tuple[np.ndarray, list[tuple[str, tuple, int]]]:
-        """``(times, priced)``: the rounds each node is logged in, by node index, and each
-        distinct ``(role, priced row, times logged)``; recounted only after new batches."""
+        """``(times, priced)``: the rounds each client and the server are logged in, and each
+        distinct ``(role, priced row, times logged)``; recounted only after new rows."""
         import numpy as np
 
-        if self._tallied[0] != len(self._blocks):
-            times = np.zeros(len(self._rows), dtype=np.int64)
-            for _, nodes, repeats, tail in self._blocks:
+        tallied = (len(self._blocks), len(self._added))
+        if self._tallied[0] != tallied:
+            times = np.zeros(len(self._ids) + 1, dtype=np.int64)  # the clients', then the server's
+            for _, nodes, repeats in self._blocks:
                 np.add.at(times, nodes.ravel(), repeats)
-                times[list(tail)] += len(nodes) * repeats
+                times[-1] += len(nodes) * repeats
             # logged clients sharing a priced-rows tuple are one group, counted exactly in float64
-            clients = np.flatnonzero(times[:self._clients])
+            clients = np.flatnonzero(times[:-1])
             shared = [*map(self._rows.__getitem__, clients.tolist())]
             _, first, group = np.unique(np.fromiter(map(id, shared), np.uintp, len(shared)),
                                         return_index=True, return_inverse=True)
             counts = np.bincount(group, times[clients]).tolist()
             counted = [("client", shared[first[g]], counts[g]) for g in np.argsort(first).tolist()]
-            others = np.flatnonzero(times[self._clients:]) + self._clients  # the server and added nodes
-            counted += [(self._name(node)[0], self._rows[node], times[node]) for node in others.tolist()]
+            counted += [("server", (self._server,), times[-1])] if times[-1] else []
+            counted += [(row[1], (row[3:],), 1) for row in self._added]
             priced: dict[tuple, list] = {}
             for role, rows, count in counted:
                 for row in rows:
                     priced.setdefault((role, id(row)), [role, row, 0])[2] += int(count)
-            self._tallied = (len(self._blocks), (times, [tuple(e) for e in priced.values()]))
+            self._tallied = (tallied, (times, [tuple(e) for e in priced.values()]))
         return self._tallied[1]
 
     def _expanded(self):
-        """Every row as a ``ROW_FIELDS`` tuple, in the order logged."""
-        name, rows = self._name, self._rows
-        return ((t, *name(node), *row)
-                for first, nodes, repeats, tail in self._blocks for i, clients in enumerate(nodes)
-                for t in range(first + i * repeats, first + (i + 1) * repeats)
-                for node in (*clients.tolist(), *tail) for row in rows[node])
+        """Every row as a ``ROW_FIELDS`` tuple: the batches' in the order logged, then the added."""
+        ids, rows, server = self._ids, self._rows, ("server", "server", *(self._server or ()))
+        for first, nodes, repeats in self._blocks:
+            for i, clients in enumerate(nodes):
+                lines = [("client", ids[c], *row) for c in clients.tolist() for row in rows[c]] + [server]
+                for t in range(first + i * repeats, first + (i + 1) * repeats):
+                    yield from ((t, *line) for line in lines)
+        yield from self._added
 
     def _csv_rows(self):
         # numeric fields break ties so file bytes never depend on insertion order
@@ -314,7 +301,8 @@ class EmissionsLog:
         return self._fsum(_PRICED_CO2)
 
     def running_totals(self) -> tuple[float, float]:
-        """(energy kWh, CO2eq g) accumulated row by row in insertion order."""
+        """(energy kWh, CO2eq g) accumulated row by row: the batches' rows in the order
+        logged, then the added records' in the order added."""
         rows = list(self._expanded())
         return sum(row[_ENERGY] for row in rows), sum(row[_CO2] for row in rows)
 
@@ -340,30 +328,26 @@ class EmissionsLog:
         import numpy as np
 
         times, priced = self._tally()
-        logged, rows = np.flatnonzero(times).tolist(), self._rows
-        listed = [node for node in logged if node not in self._server]
-        widths = {len(rows[node]) for node in listed}
-        if not self._ordered or len(widths) > 1:  # sorted, or client nodes of unequal row counts
+        logged, rows = np.flatnonzero(times[:-1]), self._rows
+        widths = {len(rows[c]) for c in logged.tolist()}
+        if not self._ordered or len(widths) > 1:  # sorted, or logged clients of unequal row counts
             rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in group])
                       for t, group in groupby(self._csv_rows(), key=_ROUND))
         else:
             # a priced row's text formatted once, keyed by identity: 0.0 == -0.0, but they print apart
             texts = {id(row): f"{row[0]},{_numbers(row[1:])}\n" for _, row, _ in priced}
             # a client's id is sliced from a NodeIds text without a call, so only logged ones are made
-            ids, clients, name = self._ids, self._clients, self._name
+            ids = self._ids
             hexes = type(ids) is NodeIds and ids.ranks is None and ids.text
-
-            def lines(nodes) -> list[str]:  # the CSV lines of ``nodes`` without the round
-                return [f"client,{hexes[16 * node:16 * node + 16] if hexes else ids[node]},{texts[id(row)]}"
-                        if node < clients else "{},{},{}".format(*name(node), texts[id(row)])
-                        for node in nodes for row in rows[node]]
-
-            cells = np.empty((len(rows), max(widths, default=0)), dtype=object)  # client lines by node
-            if listed:
-                cells[listed] = np.array(lines(listed), dtype=object).reshape(len(listed), -1)
+            lines = np.array([f"client,{hexes[16 * c:16 * c + 16] if hexes else ids[c]},{texts[id(row)]}"
+                              for c in logged.tolist() for row in rows[c]], dtype=object)
+            lines = lines.reshape(len(logged), max(widths, default=0))  # the CSV lines of logged clients
+            at = np.empty(len(times) - 1, dtype=np.int32)  # a logged client's row of lines
+            at[logged] = np.arange(len(logged))
+            server = [f"server,server,{texts[id(self._server)]}"] if self._blocks else []
             # a batch row by row, never all its lines at once; a row's lines made once for its rounds
-            rounds = ((t, text) for first, nodes, repeats, tail in self._blocks for tail_text in [lines(tail)]
-                      for i, drawn in enumerate(nodes) for text in [cells[drawn].ravel().tolist() + tail_text]
+            rounds = ((t, text) for first, nodes, repeats in self._blocks
+                      for i, drawn in enumerate(nodes) for text in [lines[at[drawn]].ravel().tolist() + server]
                       for t in range(first + i * repeats, first + (i + 1) * repeats))
         out = io.BytesIO()
         out.write(f"{CSV_HEADER}\n".encode("utf-8"))

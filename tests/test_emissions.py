@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,32 +204,72 @@ class TestEmissionsLog:
 
     @pytest.mark.parametrize("change, ordered", [
         (None, True), ("swap", False), ("repeat", False), ("collide", False),
+        ("earlier", False), ("same-round", False), ("add", False),
     ])
     def test_ascending_node_ids_need_ascending_rounds_to_skip_the_sort(self, change, ordered):
         # with client node ids strictly ascending, a round given in ascending indices is in CSV
-        # order; two clients out of order, a client listed twice (it has two rows) or a node id
-        # shared by two clients sends the log to the sorted CSV
+        # order; two clients out of order, a client listed twice (it has two rows), a node id
+        # shared by two clients, a batch logged before a round already logged, a second batch
+        # in one round or an added record sends the log to the sorted CSV
         training = ("training", 2.5, 0.125, 32.0, 4.0)
         client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training)] * 3
         server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
         node_ids = ["0c", "1f", "4a", "77", "b7", "e1"]
-        rounds = {1: [0, 2, 5], 2: [1, 3, 4], 3: [0, 1, 2, 3, 4, 5], 4: [3]}
+        rounds = [(1, [0, 2, 5]), (2, [1, 3, 4]), (3, [0, 1, 2, 3, 4, 5]), (4, [3])]
         if change == "swap":
-            rounds[2] = [1, 4, 3]
+            rounds[1] = (2, [1, 4, 3])
         elif change == "repeat":
-            rounds[2] = [1, 3, 3, 4]
+            rounds[1] = (2, [1, 3, 3, 4])
         elif change == "collide":
             node_ids[3] = node_ids[4]
+        elif change == "earlier":
+            rounds[2], rounds[3] = rounds[3], rounds[2]
+        elif change == "same-round":
+            rounds.append((4, [5]))
         log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
-        for t, clients in rounds.items():
+        for t, clients in rounds:
             log.add_rounds(t, [clients])
             for c in clients:
                 for row in client_rows[c]:
                     added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
             added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
+        if change == "add":
+            for target in (log, added):
+                target.add(EmissionRecord("5d", "client", "training", 2, *training[1:]))
         assert log._ordered == ordered
         assert log.to_csv_bytes() == added.to_csv_bytes()
         assert log.sorted_records() == added.sorted_records()
+
+    def test_added_records_follow_the_batches(self):
+        # a log of batches and added records holds what a log of added records alone holds;
+        # its rows list the batches' first, and it counts its clients, then the server
+        training = ("training", 2.5, 0.125, 32.0, 4.0)
+        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
+        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
+        node_ids = ["0c", "b7", "e1"]
+        extra = [EmissionRecord("5d", "client", "training", 2, 1.5, 0.0625, 709.0, 44.3125),
+                 EmissionRecord("server", "server", "aggregation", 1, 3.0, 0.75, 11.0, 8.25)]
+        mixed, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
+        mixed.add(extra[0])
+        mixed.add_rounds(1, [[0, 2], [1, 2]])
+        mixed.add(extra[1])
+        for t, clients in ((1, [0, 2]), (2, [1, 2])):
+            for c in clients:
+                for row in client_rows[c]:
+                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
+        for record in extra:
+            added.add(record)
+        assert mixed.records == added.records
+        assert mixed.records[-2:] == extra
+        assert mixed.to_csv_bytes() == added.to_csv_bytes()
+        assert len(mixed) == len(added) == 9
+        assert mixed.total_energy_kwh() == added.total_energy_kwh()
+        assert mixed.total_co2eq_g() == added.total_co2eq_g()
+        assert mixed.running_totals() == added.running_totals()
+        for key in ("phase", "role", "node_id"):
+            assert mixed.co2eq_by(key) == added.co2eq_by(key)
+        assert mixed.times_logged() == [1, 1, 2, 2]  # the three clients, then the server
 
     def test_repeated_rounds_and_clients_count_alike(self):
         # a row broadcast down a batch counts once per round, as a copied batch and one add()
@@ -407,3 +448,24 @@ def test_colliding_node_ids_match_a_row_by_row_reference(tables, monkeypatch, cl
     assert not state.emissions._ordered
     check_against_row_reference(state.emissions, config)
     assert state.clients.counts == [sum(c in draw for draw in draws) for c in state.clients.node_order]
+
+
+def test_csv_holds_lines_for_the_logged_clients_only(tables):
+    # 50 client rows of a fleet of 3·10^5: the CSV's lines are made and held for the logged
+    # clients alone, so the call's peak stays near one int32 per client
+    config = parse_config({
+        "name": "wide", "num_clients": 300_000, "total_rounds": 5, "sample_size": 10, "local_rounds": 1,
+        "dataset_size": 500, "model_size": 98_000, "num_label_classes": 10, "seed": 3,
+        "client_hardware": "Intel Core i7-1250U", "client_locations": "AL",
+        "server_hardware": "Intel Core i7-1250U", "server_location": "AL",
+    })
+    log = run_federation(config, tables).emissions
+    log.times_logged()  # the tally is cached before the call
+    tracemalloc.start()
+    try:
+        data = log.to_csv_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.count(b"\n") == 1 + 5 * (10 + 1)
+    assert peak < 1.5e6
