@@ -55,8 +55,8 @@ RATE_TOL = 1e-9
 MAX_SEED = 2**64 - 1
 # ImageNet-1k's class count
 MAX_LABEL_CLASSES = 1000
-# the count anchors of the complexity score stop at 10^6 clients and rounds; simulate keeps
-# per-client lists and works per round
+# the count anchors of the complexity score stop at 10^6 clients and rounds; simulate holds a
+# client as a few machine words and its 16 characters of node-id text, and draws rounds in batches
 MAX_CLIENTS = 10**6
 MAX_ROUNDS = 10**6
 # simulate's num_clients x num_label_classes label array takes 8 bytes a cell, drawn in blocks

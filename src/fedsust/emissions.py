@@ -16,7 +16,7 @@ import io
 import math
 import operator
 from collections.abc import Sequence
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -151,7 +151,9 @@ class NodeIds(Sequence):
     def __len__(self) -> int:
         return len(self.text) >> 4
 
-    def __getitem__(self, index: int) -> str:  # a range and an array raise IndexError past either end
+    def __getitem__(self, index):  # a range and an array raise IndexError past either end
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
         at = 16 * (range(len(self))[index] if self.ranks is None else int(self.ranks[index]))
         return self.text[at:at + 16]
 
@@ -167,37 +169,46 @@ class NodeIds(Sequence):
 class EmissionsLog:
     """Emission rows stored as batches of rounds, and records added one by one.
 
-    A log made from a run's prices holds one client per node id, ``node_ids[c]``
-    with its priced rows ``client_rows[c]``, each ``(phase, duration_s, energy_kwh,
-    intensity, co2eq_g)``, and the server's one priced row ``server_row``; the ids
-    and rows are kept, not copied, and not checked, so each client's rows must be
-    in CSV order and every row priced by :func:`estimate_energy` and
-    :func:`energy_to_co2`. A batch is a first round, an int32 array of client
-    indices with a row per round, and how many rounds a row stands for; each
-    round logs its clients' rows, then the server row. :meth:`add` keeps a
-    record apart, as a ``ROW_FIELDS`` tuple, after every batch. When the client
-    node ids strictly ascend, learned once, a batch whose rows strictly ascend
-    and which starts after the last batch's rounds is in CSV order; otherwise,
-    or once a record is added, the CSV is sorted.
+    A log made from a run's prices holds a client per id of ``node_ids``, a
+    :class:`NodeIds` text without ranks. Client ``c`` logs its price group's rows
+    ``group_rows[groups[c]]``, each ``(phase, duration_s, energy_kwh, intensity,
+    co2eq_g)``, as many in every group, and the server its one row ``server_row``.
+    All are kept, not copied, and only shapes are checked: rows must be in CSV order
+    and priced by :func:`estimate_energy` and :func:`energy_to_co2`. A batch is a
+    first round, an int32 array of client indices with a row per round, and how many
+    rounds a row stands for; each round logs its clients' rows, then the server row.
+    :meth:`add` keeps a record apart, as a ``ROW_FIELDS`` tuple, after every batch.
+    When the client node ids strictly ascend, learned once, a batch whose rows
+    strictly ascend and which starts after the last batch's rounds is in CSV order;
+    otherwise, or once a record is added, the CSV is sorted.
 
-    The length, the totals and ``co2eq_by("phase" | "role")`` come from each
-    distinct priced row and the number of times it was logged, counted a batch
-    at a time: ``math.fsum`` is exactly rounded, so the sum of that multiset
-    does not depend on row order, and it takes one term per power of two in a
-    count. The CSV is written a round at a time, one join of line text made
-    once per logged client (row by row if logged clients hold unequal row
-    counts). Everything else expands the rows on demand.
+    The length, the totals and ``co2eq_by("phase" | "role")`` come from each logged
+    price group's rows and the number of times its clients were logged, counted a
+    batch at a time: ``math.fsum`` is exactly rounded, so the sum of that multiset
+    does not depend on row order, and it takes one term per power of two in a count.
+    The CSV is written a round at a time, one join of line text made once per logged
+    client, its rows' text once per logged group. Everything else expands the rows
+    on demand.
     """
 
-    def __init__(self, node_ids: Sequence[str] = (), client_rows: Sequence[tuple] = (),
+    def __init__(self, node_ids: NodeIds = NodeIds(""), groups=(), group_rows: Sequence[tuple] = (),
                  server_row: tuple | None = None) -> None:
-        if len(node_ids) != len(client_rows):
-            raise EmissionsError(f"{len(node_ids)} node ids for {len(client_rows)} clients' rows")
-        self._ids, self._rows, self._server = node_ids, client_rows, server_row
+        import numpy as np
+
+        groups, widths = np.asarray(groups), sorted({*map(len, group_rows)})
+        if not isinstance(node_ids, NodeIds) or node_ids.ranks is not None:
+            raise EmissionsError("the node ids must be a NodeIds text without ranks")
+        if len(widths) > 1:
+            raise EmissionsError(f"price groups hold unequal row counts {widths}")
+        if groups.shape != (len(node_ids),) or groups.size and (
+                groups.dtype.kind not in "iu" or groups.min() < 0 or groups.max() >= len(group_rows)):
+            raise EmissionsError(f"expected a price group in [0, {len(group_rows)}) for each of {len(node_ids)} "
+                                 f"clients, got shape {groups.shape} of {groups.dtype}")
+        self._ids, self._rows, self._server = node_ids, group_rows, server_row
+        self._groups = groups.astype(np.intp, copy=False)  # as np.bincount takes them, () included
         # whether every batch continued CSV order; a round's clients can do so only when
         # the client node ids strictly ascend, which is learned here, once
-        self._ordered = (node_ids.ascending() if isinstance(node_ids, NodeIds)
-                         else all(map(operator.lt, node_ids, islice(node_ids, 1, None))))
+        self._ordered = node_ids.ascending()
         self._blocks: list[tuple[int, np.ndarray, int]] = []  # (first round, clients, rounds a row)
         self._next_round = 0  # the round after the last batch's
         self._added: list[tuple] = []  # the added records' rows
@@ -239,8 +250,8 @@ class EmissionsLog:
         return self._tally()[0].tolist()
 
     def _tally(self) -> tuple[np.ndarray, list[tuple[str, tuple, int]]]:
-        """``(times, priced)``: the rounds each client and the server are logged in, and each
-        distinct ``(role, priced row, times logged)``; recounted only after new rows."""
+        """``(times, priced)``: the rounds each client and the server are logged in, and ``(role, priced
+        row, times logged)`` of each logged group's rows, the server's and the added; kept until new rows."""
         import numpy as np
 
         tallied = (len(self._blocks), len(self._added))
@@ -249,28 +260,22 @@ class EmissionsLog:
             for _, nodes, repeats in self._blocks:
                 np.add.at(times, nodes.ravel(), repeats)
                 times[-1] += len(nodes) * repeats
-            # logged clients sharing a priced-rows tuple are one group, counted exactly in float64
-            clients = np.flatnonzero(times[:-1])
-            shared = [*map(self._rows.__getitem__, clients.tolist())]
-            _, first, group = np.unique(np.fromiter(map(id, shared), np.uintp, len(shared)),
-                                        return_index=True, return_inverse=True)
-            counts = np.bincount(group, times[clients]).tolist()
-            counted = [("client", shared[first[g]], counts[g]) for g in np.argsort(first).tolist()]
-            counted += [("server", (self._server,), times[-1])] if times[-1] else []
-            counted += [(row[1], (row[3:],), 1) for row in self._added]
-            priced: dict[tuple, list] = {}
-            for role, rows, count in counted:
-                for row in rows:
-                    priced.setdefault((role, id(row)), [role, row, 0])[2] += int(count)
-            self._tallied = (tallied, (times, [tuple(e) for e in priced.values()]))
+            # a group's rows are logged as often as its clients together, counted exactly in float64
+            logged = np.flatnonzero(times[:-1])
+            counts = np.bincount(self._groups[logged], times[logged], len(self._rows)).tolist()
+            priced = [("client", row, int(count)) for rows, count in zip(self._rows, counts) if count
+                      for row in rows]
+            priced += [("server", self._server, int(times[-1]))] if times[-1] else []
+            priced += [(row[1], row[3:], 1) for row in self._added]
+            self._tallied = (tallied, (times, priced))
         return self._tallied[1]
 
     def _expanded(self):
         """Every row as a ``ROW_FIELDS`` tuple: the batches' in the order logged, then the added."""
         ids, rows, server = self._ids, self._rows, ("server", "server", *(self._server or ()))
         for first, nodes, repeats in self._blocks:
-            for i, clients in enumerate(nodes):
-                lines = [("client", ids[c], *row) for c in clients.tolist() for row in rows[c]] + [server]
+            for i, (clients, groups) in enumerate(zip(nodes.tolist(), self._groups[nodes].tolist())):
+                lines = [("client", ids[c], *row) for c, g in zip(clients, groups) for row in rows[g]] + [server]
                 for t in range(first + i * repeats, first + (i + 1) * repeats):
                     yield from ((t, *line) for line in lines)
         yield from self._added
@@ -327,24 +332,18 @@ class EmissionsLog:
     def to_csv_bytes(self) -> bytes:
         import numpy as np
 
-        times, priced = self._tally()
-        logged, rows = np.flatnonzero(times[:-1]), self._rows
-        widths = {len(rows[c]) for c in logged.tolist()}
-        if not self._ordered or len(widths) > 1:  # sorted, or logged clients of unequal row counts
+        if not self._ordered:
             rounds = ((t, [f"{r[1]},{r[2]},{r[3]},{_numbers(r[4:])}\n" for r in group])
                       for t, group in groupby(self._csv_rows(), key=_ROUND))
         else:
-            # a priced row's text formatted once, keyed by identity: 0.0 == -0.0, but they print apart
-            texts = {id(row): f"{row[0]},{_numbers(row[1:])}\n" for _, row, _ in priced}
-            # a client's id is sliced from a NodeIds text without a call, so only logged ones are made
-            ids = self._ids
-            hexes = type(ids) is NodeIds and ids.ranks is None and ids.text
-            lines = np.array([f"client,{hexes[16 * c:16 * c + 16] if hexes else ids[c]},{texts[id(row)]}"
-                              for c in logged.tolist() for row in rows[c]], dtype=object)
-            lines = lines.reshape(len(logged), max(widths, default=0))  # the CSV lines of logged clients
-            at = np.empty(len(times) - 1, dtype=np.int32)  # a logged client's row of lines
+            logged = np.flatnonzero(self._tally()[0][:-1])
+            groups, ids = self._groups[logged].tolist(), self._ids.text
+            texts = {g: [f"{r[0]},{_numbers(r[1:])}\n" for r in self._rows[g]] for g in dict.fromkeys(groups)}
+            lines = np.array([f"client,{ids[16 * c:16 * c + 16]},{line}" for c, g in zip(logged.tolist(), groups)
+                              for line in texts[g]], dtype=object).reshape(len(logged), -1 if len(logged) else 0)
+            at = np.empty(len(self._ids), dtype=np.int32)  # a logged client's row of lines
             at[logged] = np.arange(len(logged))
-            server = [f"server,server,{texts[id(self._server)]}"] if self._blocks else []
+            server = [f"server,server,{self._server[0]},{_numbers(self._server[1:])}\n"] if self._blocks else []
             # a batch row by row, never all its lines at once; a row's lines made once for its rounds
             rounds = ((t, text) for first, nodes, repeats in self._blocks
                       for i, drawn in enumerate(nodes) for text in [lines[at[drawn]].ravel().tolist() + server]

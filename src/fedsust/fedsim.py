@@ -66,21 +66,22 @@ order, and an id becomes a ``str`` only when an output writes its row. The
 node id of a client's emission rows is also its key in the factsheet.
 Per-client data is held in columns by :class:`ClientTable`, whose ``node_ids``
 view reads that text by client; the factsheet's writer slices each row block's
-ids from it, and the run's emissions log keeps it uncopied, node ``r`` for the
-client of node-id rank ``r``, so each batch of rounds is logged as drawn: an
-int32 array of ranks, each row sorted. A fleet whose ids collide writes its
-CSV sorted. Each client's rounds drawn are the log's count of its node, held
-by the table in node-id order and read by :class:`SelectionCounts` by node id.
+ids from it, and the run's emissions log keeps it uncopied, node ``r`` (and
+its price group) for the client of node-id rank ``r``, so each batch of rounds
+is logged as drawn: an int32 array of ranks, each row sorted. A fleet whose
+ids collide writes its CSV sorted. Each client's rounds drawn are the log's
+count of its node, held by the table in node-id order and read by
+:class:`SelectionCounts` by node id.
 
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
 every row a run can log, the server's aggregation row included, so the
 rounds only append rows priced at set-up. Each mix entry takes a run of
 consecutive client indices, its largest-remainder share of the fleet, so a
-client's rows are those of its (hardware, location) pair, gathered for the
-log in node-id order. A phase whose duration, energy or
-CO2eq overflows is a validation error, not a failed run, and so is a run
-whose totals could: ``total_rounds x (sample_size x the largest client
+client's rows are those of its (hardware, location) pair, its price group:
+one integer a client, in node-id order, for the log. A phase whose duration,
+energy or CO2eq overflows is a validation error, not a failed run, and so is
+a run whose totals could: ``total_rounds x (sample_size x the largest client
 round + the server row)`` bounds the energy and CO2eq totals, and
 ``total_rounds x`` the training duration bounds each client's training time.
 
@@ -601,15 +602,14 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
     ranks[order] = np.arange(n)
     # client c has the hardware entry whose consecutive indices hold c, and the location entry;
-    # each (hardware, location) pair's rows are looked up once and gathered in node-id order
+    # its price group is that (hardware, location) pair, listed in node-id order
     hardware = np.searchsorted(np.cumsum(_assign_by_share(prices.client_tdp, n)), order, side="right")
     location = np.searchsorted(np.cumsum(_assign_by_share(prices.client_intensity, n)), order, side="right")
-    pair_rows = np.empty((len(prices.client_tdp), len(prices.client_intensity)), dtype=object)
-    for i, (_, tdp) in enumerate(prices.client_tdp):
-        for j, (_, intensity) in enumerate(prices.client_intensity):
-            pair_rows[i, j] = prices.client_rows[tdp, intensity]
+    group_rows = [prices.client_rows[tdp, intensity]
+                  for _, tdp in prices.client_tdp for _, intensity in prices.client_intensity]
     # the log's node r is the client of node-id rank r, so a round's block is its sorted ranks
-    log = EmissionsLog(NodeIds(node_ids), pair_rows[hardware, location].tolist(), prices.server_row)
+    log = EmissionsLog(NodeIds(node_ids), hardware * len(prices.client_intensity) + location, group_rows,
+                       prices.server_row)
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]

@@ -141,6 +141,9 @@ def resolve_pillar_value(value, pillar: str) -> float:
         missing = sorted(set(names) - set(weights_map))
         if missing:
             raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(missing)}")
+        unknown = sorted(set(weights_map) - set(names))
+        if unknown:
+            raise ScoreError(f"pillar {pillar!r}: weights name unknown notion(s): {', '.join(unknown)}")
         weights = [require_number(weights_map[n], f"pillar {pillar!r}: weight of {n!r}", ScoreError)
                    for n in names]
         check_weights(weights, f"pillar {pillar!r}: notion weights", ScoreError)

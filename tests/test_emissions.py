@@ -17,6 +17,7 @@ from fedsust.emissions import (
     EmissionRecord,
     EmissionsError,
     EmissionsLog,
+    NodeIds,
     ROW_FIELDS,
     energy_to_co2,
     estimate_energy,
@@ -28,6 +29,23 @@ from fedsust.refdata import HardwareProfile
 
 
 PROFILE = HardwareProfile(model="Test CPU", kind="CPU", benchmark=6500, tdp=65, power_performance=100.0)
+TRAINING = ("training", 2.5, 0.125, 32.0, 4.0)
+SERVER_ROW = ("aggregation", 1.0, 0.25, 32.0, 8.0)
+
+
+def hex_ids(*names):
+    """A NodeIds text of 16-hex ids, each two-character name written eight times, so the
+    ids order as the names do."""
+    return NodeIds("".join(name * 8 for name in names))
+
+
+def price_groups(width):
+    """Two price groups of ``width`` rows each in CSV order: training alone, or communication
+    then training."""
+    other = ("training", 1.5, 0.0625, 709.0, 44.3125)
+    if width == 1:
+        return [(TRAINING,), (other,)]
+    return [(("communication", 0.0, 0.5, 709.0, 354.5), TRAINING), (("communication", 0.0, 0.25, 11.0, 2.75), other)]
 
 
 class TestEstimateEnergy:
@@ -173,34 +191,35 @@ class TestEmissionsLog:
         # in the second fleet clients 3 and 5 share a node id, so blocks holding both
         # are out of CSV order however their clients are ordered
         rng = random.Random(16)
-        groups = []
-        for _ in range(3):
-            intensity, energy, comm = rng.uniform(20, 795), rng.uniform(0, 2), rng.uniform(0, 0.1)
-            training = ("training", rng.uniform(0, 100), energy, intensity, energy * intensity)
-            communication = ("communication", 0.0, comm, intensity, comm * intensity)
-            groups.append(rng.choice(((training,), (communication, training))))
-        client_rows = [rng.choice(groups) for _ in range(12)]
-        agg = rng.uniform(0, 0.01)
-        server_row = ("aggregation", rng.uniform(0, 10), agg, 32.0, agg * 32.0)
-        rounds = {t: rng.sample(range(12), rng.randint(1, 12)) for t in range(1, 21)}
-        distinct = [f"{rng.getrandbits(64):016x}" for _ in range(12)]
-        colliding = [*distinct[:5], distinct[3], *distinct[6:]]
-        for node_ids in (distinct, colliding):
-            rows = [(t, "client", node_ids[c], *row) for t, clients in rounds.items()
-                    for c in clients for row in client_rows[c]]
-            rows += [(t, "server", "server", *server_row) for t in rounds]
-            added = EmissionsLog()
-            for row in rng.sample(rows, len(rows)):
-                added.add(EmissionRecord(**dict(zip(ROW_FIELDS, row))))
-            in_order, out_of_order = (EmissionsLog(node_ids, client_rows, server_row) for _ in range(2))
-            for t in sorted(rounds):
-                in_order.add_rounds(t, [sorted(rounds[t], key=node_ids.__getitem__)])
-            for t in rng.sample(sorted(rounds), len(rounds)):
-                out_of_order.add_rounds(t, [rounds[t]])
-            for log in (in_order, out_of_order):
-                assert log.to_csv_bytes() == added.to_csv_bytes()
-                assert log.sorted_records() == added.sorted_records()
-                assert log.total_co2eq_g() == added.total_co2eq_g()
+        for width in (1, 2):
+            group_rows = []
+            for _ in range(3):
+                intensity, energy, comm = rng.uniform(20, 795), rng.uniform(0, 2), rng.uniform(0, 0.1)
+                training = ("training", rng.uniform(0, 100), energy, intensity, energy * intensity)
+                communication = ("communication", 0.0, comm, intensity, comm * intensity)
+                group_rows.append((communication, training)[2 - width:])
+            groups = [rng.randrange(3) for _ in range(12)]
+            agg = rng.uniform(0, 0.01)
+            server_row = ("aggregation", rng.uniform(0, 10), agg, 32.0, agg * 32.0)
+            rounds = {t: rng.sample(range(12), rng.randint(1, 12)) for t in range(1, 21)}
+            distinct = [f"{rng.getrandbits(64):016x}" for _ in range(12)]
+            colliding = [*distinct[:5], distinct[3], *distinct[6:]]  # one id written twice
+            for node_ids in (NodeIds("".join(distinct)), NodeIds("".join(colliding))):
+                rows = [(t, "client", node_ids[c], *row) for t, clients in rounds.items()
+                        for c in clients for row in group_rows[groups[c]]]
+                rows += [(t, "server", "server", *server_row) for t in rounds]
+                added = EmissionsLog()
+                for row in rng.sample(rows, len(rows)):
+                    added.add(EmissionRecord(**dict(zip(ROW_FIELDS, row))))
+                in_order, out_of_order = (EmissionsLog(node_ids, groups, group_rows, server_row) for _ in range(2))
+                for t in sorted(rounds):
+                    in_order.add_rounds(t, [sorted(rounds[t], key=node_ids.__getitem__)])
+                for t in rng.sample(sorted(rounds), len(rounds)):
+                    out_of_order.add_rounds(t, [rounds[t]])
+                for log in (in_order, out_of_order):
+                    assert log.to_csv_bytes() == added.to_csv_bytes()
+                    assert log.sorted_records() == added.sorted_records()
+                    assert log.total_co2eq_g() == added.total_co2eq_g()
 
     @pytest.mark.parametrize("change, ordered", [
         (None, True), ("swap", False), ("repeat", False), ("collide", False),
@@ -211,130 +230,137 @@ class TestEmissionsLog:
         # order; two clients out of order, a client listed twice (it has two rows), a node id
         # shared by two clients, a batch logged before a round already logged, a second batch
         # in one round or an added record sends the log to the sorted CSV
-        training = ("training", 2.5, 0.125, 32.0, 4.0)
-        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training)] * 3
-        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
-        node_ids = ["0c", "1f", "4a", "77", "b7", "e1"]
-        rounds = [(1, [0, 2, 5]), (2, [1, 3, 4]), (3, [0, 1, 2, 3, 4, 5]), (4, [3])]
-        if change == "swap":
-            rounds[1] = (2, [1, 4, 3])
-        elif change == "repeat":
-            rounds[1] = (2, [1, 3, 3, 4])
-        elif change == "collide":
-            node_ids[3] = node_ids[4]
-        elif change == "earlier":
-            rounds[2], rounds[3] = rounds[3], rounds[2]
-        elif change == "same-round":
-            rounds.append((4, [5]))
-        log, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
-        for t, clients in rounds:
-            log.add_rounds(t, [clients])
-            for c in clients:
-                for row in client_rows[c]:
-                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
-            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
-        if change == "add":
-            for target in (log, added):
-                target.add(EmissionRecord("5d", "client", "training", 2, *training[1:]))
-        assert log._ordered == ordered
-        assert log.to_csv_bytes() == added.to_csv_bytes()
-        assert log.sorted_records() == added.sorted_records()
+        for width in (1, 2):
+            group_rows, groups = price_groups(width), [0, 1] * 3
+            names = ["0c", "1f", "4a", "77", "b7", "e1"]
+            rounds = [(1, [0, 2, 5]), (2, [1, 3, 4]), (3, [0, 1, 2, 3, 4, 5]), (4, [3])]
+            if change == "swap":
+                rounds[1] = (2, [1, 4, 3])
+            elif change == "repeat":
+                rounds[1] = (2, [1, 3, 3, 4])
+            elif change == "collide":
+                names[3] = names[4]
+            elif change == "earlier":
+                rounds[2], rounds[3] = rounds[3], rounds[2]
+            elif change == "same-round":
+                rounds.append((4, [5]))
+            node_ids = hex_ids(*names)
+            log, added = EmissionsLog(node_ids, groups, group_rows, SERVER_ROW), EmissionsLog()
+            for t, clients in rounds:
+                log.add_rounds(t, [clients])
+                for c in clients:
+                    for row in group_rows[groups[c]]:
+                        added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+                added.add(EmissionRecord("server", "server", "aggregation", t, *SERVER_ROW[1:]))
+            if change == "add":
+                for target in (log, added):
+                    target.add(EmissionRecord("5d", "client", "training", 2, *TRAINING[1:]))
+            assert log._ordered == ordered
+            assert log.to_csv_bytes() == added.to_csv_bytes()
+            assert log.sorted_records() == added.sorted_records()
 
     def test_added_records_follow_the_batches(self):
         # a log of batches and added records holds what a log of added records alone holds;
         # its rows list the batches' first, and it counts its clients, then the server
-        training = ("training", 2.5, 0.125, 32.0, 4.0)
-        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
-        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
-        node_ids = ["0c", "b7", "e1"]
         extra = [EmissionRecord("5d", "client", "training", 2, 1.5, 0.0625, 709.0, 44.3125),
                  EmissionRecord("server", "server", "aggregation", 1, 3.0, 0.75, 11.0, 8.25)]
-        mixed, added = EmissionsLog(node_ids, client_rows, server_row), EmissionsLog()
-        mixed.add(extra[0])
-        mixed.add_rounds(1, [[0, 2], [1, 2]])
-        mixed.add(extra[1])
-        for t, clients in ((1, [0, 2]), (2, [1, 2])):
-            for c in clients:
-                for row in client_rows[c]:
-                    added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
-            added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
-        for record in extra:
-            added.add(record)
-        assert mixed.records == added.records
-        assert mixed.records[-2:] == extra
-        assert mixed.to_csv_bytes() == added.to_csv_bytes()
-        assert len(mixed) == len(added) == 9
-        assert mixed.total_energy_kwh() == added.total_energy_kwh()
-        assert mixed.total_co2eq_g() == added.total_co2eq_g()
-        assert mixed.running_totals() == added.running_totals()
-        for key in ("phase", "role", "node_id"):
-            assert mixed.co2eq_by(key) == added.co2eq_by(key)
-        assert mixed.times_logged() == [1, 1, 2, 2]  # the three clients, then the server
+        for width in (1, 2):
+            group_rows, groups, node_ids = price_groups(width), [0, 1, 0], hex_ids("0c", "b7", "e1")
+            mixed, added = EmissionsLog(node_ids, groups, group_rows, SERVER_ROW), EmissionsLog()
+            mixed.add(extra[0])
+            mixed.add_rounds(1, [[0, 2], [1, 2]])
+            mixed.add(extra[1])
+            for t, clients in ((1, [0, 2]), (2, [1, 2])):
+                for c in clients:
+                    for row in group_rows[groups[c]]:
+                        added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+                added.add(EmissionRecord("server", "server", "aggregation", t, *SERVER_ROW[1:]))
+            for record in extra:
+                added.add(record)
+            assert mixed.records == added.records
+            assert mixed.records[-2:] == extra
+            assert mixed.to_csv_bytes() == added.to_csv_bytes()
+            assert len(mixed) == len(added) == 4 * width + 4  # 4 client rounds, 2 server rows, 2 added
+            assert mixed.total_energy_kwh() == added.total_energy_kwh()
+            assert mixed.total_co2eq_g() == added.total_co2eq_g()
+            assert mixed.running_totals() == added.running_totals()
+            for key in ("phase", "role", "node_id"):
+                assert mixed.co2eq_by(key) == added.co2eq_by(key)
+            assert mixed.times_logged() == [1, 1, 2, 2]  # the three clients, then the server
 
     def test_repeated_rounds_and_clients_count_alike(self):
         # a row broadcast down a batch counts once per round, as a copied batch and one add()
         # per row count it; a client listed twice in a round is counted twice
-        training = ("training", 2.5, 0.125, 32.0, 4.0)
-        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
-        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
-        node_ids = ["b7", "0c", "e1"]
         full = (1, 0, 2)  # node-id order
         batches = [(1, np.broadcast_to(np.array(full, dtype=np.int32), (4, 3))),
                    (5, [[0, 0, 2], [0, 0, 2]]), (7, [[2]])]
-        log, copied, added = (EmissionsLog(node_ids, client_rows, server_row) for _ in range(3))
-        for first, clients in batches:
-            log.add_rounds(first, clients)
-            copied.add_rounds(first, np.array(clients))
-            for t, drawn in enumerate(clients, first):
-                for c in drawn:
-                    for row in client_rows[c]:
-                        added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
-                added.add(EmissionRecord("server", "server", "aggregation", t, *server_row[1:]))
-        assert log.times_logged() == copied.times_logged() == [8, 4, 7, 7]
-        for other in (copied, added):
-            assert log.records == other.records
-            assert log.to_csv_bytes() == other.to_csv_bytes()
-            assert len(log) == len(other)
-            assert log.total_energy_kwh() == other.total_energy_kwh()
-            assert log.total_co2eq_g() == other.total_co2eq_g()
-            for key in ("phase", "role"):
-                assert log.co2eq_by(key) == other.co2eq_by(key)
+        for width in (1, 2):
+            group_rows, groups, node_ids = price_groups(width), [0, 1, 0], hex_ids("b7", "0c", "e1")
+            log, copied, added = (EmissionsLog(node_ids, groups, group_rows, SERVER_ROW) for _ in range(3))
+            for first, clients in batches:
+                log.add_rounds(first, clients)
+                copied.add_rounds(first, np.array(clients))
+                for t, drawn in enumerate(clients, first):
+                    for c in drawn:
+                        for row in group_rows[groups[c]]:
+                            added.add(EmissionRecord(node_ids[c], "client", row[0], t, *row[1:]))
+                    added.add(EmissionRecord("server", "server", "aggregation", t, *SERVER_ROW[1:]))
+            assert log.times_logged() == copied.times_logged() == [8, 4, 7, 7]
+            for other in (copied, added):
+                assert log.records == other.records
+                assert log.to_csv_bytes() == other.to_csv_bytes()
+                assert len(log) == len(other)
+                assert log.total_energy_kwh() == other.total_energy_kwh()
+                assert log.total_co2eq_g() == other.total_co2eq_g()
+                for key in ("phase", "role"):
+                    assert log.co2eq_by(key) == other.co2eq_by(key)
 
     def test_a_batch_tallies_as_its_rounds_one_by_one(self):
         # a batch of rounds is counted in one step; a later batch recounts
-        training = ("training", 2.5, 0.125, 32.0, 4.0)
-        client_rows = [(training,), (("communication", 0.0, 0.5, 709.0, 354.5), training), (training,)]
-        server_row = ("aggregation", 1.0, 0.25, 32.0, 8.0)
         rounds = [[0, 2], [1, 2], [0, 2], [0, 1]]
-        one_by_one, batched = (EmissionsLog(["0c", "b7", "e1"], client_rows, server_row) for _ in range(2))
-        for t, clients in enumerate(rounds, 1):
-            one_by_one.add_rounds(t, [clients])
-        batched.add_rounds(1, rounds)
-        for extra in (None, [[1, 2]]):
-            if extra:
-                one_by_one.add_rounds(5, extra)
-                batched.add_rounds(5, extra)
-            assert batched.times_logged() == one_by_one.times_logged()
-            assert batched.records == one_by_one.records
-            assert batched.to_csv_bytes() == one_by_one.to_csv_bytes()
-            assert len(batched) == len(one_by_one)
-            assert batched.total_co2eq_g() == one_by_one.total_co2eq_g()
-            for key in ("phase", "role"):
-                assert batched.co2eq_by(key) == one_by_one.co2eq_by(key)
-        assert one_by_one.times_logged() == [3, 3, 4, 5]
+        for width in (1, 2):
+            one_by_one, batched = (EmissionsLog(hex_ids("0c", "b7", "e1"), [0, 1, 0], price_groups(width),
+                                                SERVER_ROW) for _ in range(2))
+            for t, clients in enumerate(rounds, 1):
+                one_by_one.add_rounds(t, [clients])
+            batched.add_rounds(1, rounds)
+            for extra in (None, [[1, 2]]):
+                if extra:
+                    one_by_one.add_rounds(5, extra)
+                    batched.add_rounds(5, extra)
+                assert batched.times_logged() == one_by_one.times_logged()
+                assert batched.records == one_by_one.records
+                assert batched.to_csv_bytes() == one_by_one.to_csv_bytes()
+                assert len(batched) == len(one_by_one)
+                assert batched.total_co2eq_g() == one_by_one.total_co2eq_g()
+                for key in ("phase", "role"):
+                    assert batched.co2eq_by(key) == one_by_one.co2eq_by(key)
+            assert one_by_one.times_logged() == [3, 3, 4, 5]
 
     @pytest.mark.parametrize("clients, index", [([[0, 1], [-1, 2]], -1), ([[0, 1], [2, 3]], 3)])
     def test_client_index_out_of_range_names_round_and_index(self, clients, index):
-        log = EmissionsLog(["0c", "b7", "e1"], [(("training", 2.5, 0.125, 32.0, 4.0),)] * 3,
-                           ("aggregation", 1.0, 0.25, 32.0, 8.0))
+        log = EmissionsLog(hex_ids("0c", "b7", "e1"), [0, 0, 0], [(TRAINING,)], SERVER_ROW)
         with pytest.raises(EmissionsError, match=rf"round 8: client index {index} is not in \[0, 3\)"):
             log.add_rounds(7, clients)
         assert log.times_logged() == [0, 0, 0, 0]
 
     def test_rounds_need_a_server_row(self):
-        log = EmissionsLog(["0c"], [(("training", 2.5, 0.125, 32.0, 4.0),)])
+        log = EmissionsLog(hex_ids("0c"), [0], [(TRAINING,)])
         with pytest.raises(EmissionsError, match="round 4: the log was made without a server row"):
             log.add_rounds(4, [[0]])
+
+    @pytest.mark.parametrize("node_ids, groups, group_rows, match", [
+        (hex_ids("0c", "b7", "e1"), [0, 0], [(TRAINING,)], r"each of 3 clients, got shape \(2,\)"),
+        (hex_ids("0c", "b7", "e1"), [0.0, 0.0, 0.0], [(TRAINING,)], "of float64"),
+        (hex_ids("0c", "b7", "e1"), [0, -1, 0], [(TRAINING,)], r"in \[0, 1\) for each of 3 clients, got shape \(3,\)"),
+        (hex_ids("0c", "b7", "e1"), [0, 1, 0], [(TRAINING,)], r"in \[0, 1\) for each of 3 clients, got shape \(3,\)"),
+        (hex_ids("0c", "b7"), [0, 1], price_groups(1)[:1] + price_groups(2)[:1], r"unequal row counts \[1, 2\]"),
+        (NodeIds(hex_ids("b7", "0c").text, np.array([1, 0])), [0, 0], [(TRAINING,)], "without ranks"),
+        (["0c" * 8, "b7" * 8], [0, 0], [(TRAINING,)], "without ranks"),
+    ], ids=["shape", "float", "negative", "past-the-groups", "unequal-widths", "ranked", "list"])
+    def test_constructor_rejects_what_the_simulator_never_builds(self, node_ids, groups, group_rows, match):
+        with pytest.raises(EmissionsError, match=match):
+            EmissionsLog(node_ids, groups, group_rows, SERVER_ROW)
 
     def test_unknown_column_names_the_accepted_ones(self):
         with pytest.raises(EmissionsError, match="unknown column 'country'; expected one of round, role, "):

@@ -398,6 +398,8 @@ class TestNodeIds:
         assert list(ids) == [*iter(ids)] == expected
         assert [ids[c] for c in range(-n, 0)] == expected
         assert ids[np.int64(3)] == expected[3] and ids.index(expected[30]) == 30
+        for part in (slice(0, 2), slice(None), slice(-3, None), slice(None, None, -4), slice(30, 2), slice(5, 10**9)):
+            assert ids[part] == expected[part]
         for index in (n, -n - 1, 10**9):
             with pytest.raises(IndexError):
                 ids[index]

@@ -126,6 +126,11 @@ class TestExternalPillars:
         value = {"notions": {"a": 1.0, "b": 0.5}, "weights": {"a": 0.75, "b": 0.25}}
         assert resolve_pillar_value(value, "privacy") == pytest.approx(0.875, abs=1e-12)
 
+    def test_notion_weights_name_only_notions(self):
+        value = {"notions": {"a": 0.5}, "weights": {"a": 1, "b": 0, "c": 0}}
+        with pytest.raises(ScoreError, match=r"pillar 'privacy': weights name unknown notion\(s\): b, c$"):
+            resolve_pillar_value(value, "privacy")
+
 
 class TestPillarFixtures:
     def test_bundled_proposal_fixtures_resolve(self, pillar_dir):
