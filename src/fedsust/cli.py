@@ -1,10 +1,10 @@
 """Command-line front door: validate, score, simulate, and compare scenarios.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 reference-data
-miss (unknown country, hardware model, or unresolvable location). Every
-error prints a single machine-parsable line to stderr of the form
-``error: <category>: <detail>`` with category ``validation``,
-``reference-data`` or ``io``.
+Exit codes: 0 success, 1 configuration/validation failure (a command-line
+usage error included), 2 reference-data miss (unknown country, hardware
+model, or unresolvable location). Every error prints a single
+machine-parsable line to stderr of the form ``error: <category>: <detail>``
+with category ``validation``, ``reference-data`` or ``io``.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ _PILLAR_LEVEL_IDS = frozenset((PILLAR_ID, *EXTERNAL_PILLAR_IDS))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ConfigError, ScoreError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
@@ -66,9 +66,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: one ``error:`` line and exit 1, not usage and exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache  # one parser per process: it never changes, and building it costs far more than a parse
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedsust",
         description="Sustainability and trust scoring for federated-learning configurations.",
     )
@@ -146,15 +153,11 @@ def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
     known = {n.id for n in node.walk()}
     unknown = sorted(set(config.score_overrides) - known)
     if unknown:
-        raise ConfigError(
-            f"field 'score_overrides' names unknown node(s): {', '.join(unknown)}"
-        )
+        raise ConfigError(f"field 'score_overrides' names unknown node(s): {', '.join(map(repr, unknown))}")
     if tree_weights:
         unknown_weights = sorted(set(tree_weights) - known)
         if unknown_weights:
-            raise ConfigError(
-                f"weight file names unknown node(s): {', '.join(unknown_weights)}"
-            )
+            raise ConfigError(f"weight file names unknown node(s): {', '.join(map(repr, unknown_weights))}")
         node = apply_weights(node, tree_weights)
     return aggregate(node, overrides=config.score_overrides, allow_partial=allow_partial)
 

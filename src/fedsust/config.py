@@ -226,7 +226,7 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
     checks scenario values, those of the energy model included."""
     unknown = sorted(set(data) - {*FederationConfig._fields, "notes"})
     if unknown:
-        raise ConfigError(f"unknown field(s) in scenario: {', '.join(unknown)}")
+        raise ConfigError(f"unknown field(s) in scenario: {', '.join(map(repr, unknown))}")
 
     num_clients = _int_field(data, "num_clients", minimum=1, maximum=MAX_CLIENTS)
     total_rounds = _int_field(data, "total_rounds", minimum=1, maximum=MAX_ROUNDS)
@@ -251,7 +251,8 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError("field 'energy_model' must be an object")
     unknown = sorted(set(energy_raw) - set(EnergyModel._fields))
     if unknown:
-        raise ConfigError(f"field 'energy_model' has unknown sub-field(s): {', '.join(unknown)}")
+        raise ConfigError(
+            f"field 'energy_model' has unknown sub-field(s): {', '.join(map(repr, unknown))}")
     for key, value in energy_raw.items():
         require_number(value, f"field 'energy_model.{key}'", ConfigError)
     energy = EnergyModel(**energy_raw)
@@ -268,9 +269,10 @@ def parse_config(data: dict, default_name: str = "scenario") -> FederationConfig
         raise ConfigError("field 'score_overrides' must be an object")
     score_overrides: dict[str, float] = {}
     for key, value in overrides_raw.items():
-        score = require_number(value, f"field 'score_overrides.{key}'", ConfigError)
+        what = f"field {f'score_overrides.{key}'!r}"
+        score = require_number(value, what, ConfigError)
         if not 0.0 <= score <= 1.0:
-            raise ConfigError(f"field 'score_overrides.{key}' must lie in [0, 1], got {value!r}")
+            raise ConfigError(f"{what} must lie in [0, 1], got {value!r}")
         score_overrides[str(key)] = score
 
     statistics = data.get("statistics", {})
@@ -351,11 +353,11 @@ def _int_field(data: dict, name: str, minimum: int, maximum: int | None = None,
 
 def require_number(value, what: str, error: type[ValueError]) -> float:
     """``value`` as a float if it is a JSON number (an int or float, not a bool)
-    that fits one; otherwise ``error`` naming ``what``."""
+    that fits one, a negative zero read as zero; otherwise ``error`` naming ``what``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise error(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:  # an int beyond ~1.8e308
         raise error(f"{what} is too large for a float: a {value.bit_length()}-bit integer") from None
 

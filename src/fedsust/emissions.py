@@ -141,7 +141,8 @@ def track_phase(
 
 class NodeIds(Sequence):
     """Read-only sequence of 16-character ids held as one text, not as one ``str`` each:
-    item ``i`` is the id at position ``ranks[i]`` of the text, or at ``i`` without ``ranks``."""
+    item ``i`` is the id at position ``ranks[i]`` of the text, or at ``i`` without ``ranks``,
+    a permutation of the positions. ``in`` searches the text, so it makes no ``str`` per id."""
 
     __slots__ = ("text", "ranks")
 
@@ -156,6 +157,14 @@ class NodeIds(Sequence):
             return [self[i] for i in range(len(self))[index]]
         at = 16 * (range(len(self))[index] if self.ranks is None else int(self.ranks[index]))
         return self.text[at:at + 16]
+
+    def __contains__(self, value) -> bool:
+        if not isinstance(value, str) or len(value) != 16:
+            return False
+        at = self.text.find(value)
+        while at > 0 and at % 16:  # a match across two ids is none
+            at = self.text.find(value, at + 1)
+        return at >= 0
 
     def ascending(self) -> bool:
         """Whether the ids strictly ascend, compared as one array of 16-byte strings."""

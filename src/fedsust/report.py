@@ -140,10 +140,11 @@ def resolve_pillar_value(value, pillar: str) -> float:
     if weights_map:
         missing = sorted(set(names) - set(weights_map))
         if missing:
-            raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(missing)}")
+            raise ScoreError(f"pillar {pillar!r}: weights missing for {', '.join(map(repr, missing))}")
         unknown = sorted(set(weights_map) - set(names))
         if unknown:
-            raise ScoreError(f"pillar {pillar!r}: weights name unknown notion(s): {', '.join(unknown)}")
+            raise ScoreError(
+                f"pillar {pillar!r}: weights name unknown notion(s): {', '.join(map(repr, unknown))}")
         weights = [require_number(weights_map[n], f"pillar {pillar!r}: weight of {n!r}", ScoreError)
                    for n in names]
         check_weights(weights, f"pillar {pillar!r}: notion weights", ScoreError)

@@ -9,7 +9,8 @@ Three notions make up the pillar:
 * federation complexity -- six raw configuration scalars (global rounds,
   clients, selection rate, local rounds, dataset size, model size).
 
-Each assessment is an immutable ``typing.NamedTuple`` of raw values.
+Each assessment is an immutable ``typing.NamedTuple`` of raw values;
+:func:`build_sustainability_node` builds the pillar from one table of them.
 Default weights: metrics weigh equally within a notion; the notions weigh
 0.5 (carbon) / 0.25 (hardware) / 0.25 (complexity) within the pillar. All
 weights can be replaced through a weight file (see
@@ -122,57 +123,33 @@ def build_sustainability_node(
 ) -> ScoreNode:
     """Assemble the pillar subtree with raw metric values filled in.
 
-    Node ids are dot-paths under ``sustainability``; pass the result to
-    :func:`fedsust.scoring.aggregate` to score it.
+    Node ids are dot-paths under ``sustainability``: ``table`` lists each
+    notion's ``(leaf, rule, raw)`` metrics in report order. A notion weighs
+    ``DEFAULT_NOTION_WEIGHTS[notion]``, each of its metrics an equal share.
+    Pass the result to :func:`fedsust.scoring.aggregate` to score it.
     """
-
-    def metric(notion: str, leaf: str, rule, raw: float) -> ScoreNode:
-        return ScoreNode(
-            id=f"{PILLAR_ID}.{notion}.{leaf}",
-            kind=KIND_METRIC,
-            weight=0.0,  # set below
-            rule=rule,
-            raw=raw,
-        )
-
-    carbon_children = [
-        metric("carbon_intensity", "client", CARBON_INTENSITY_RULE, carbon.client_avg),
-        metric("carbon_intensity", "server", CARBON_INTENSITY_RULE, carbon.server),
-    ]
-    hardware_children = [
-        metric("hardware_efficiency", "client", POWER_PERFORMANCE_RULE, hardware.client_avg_pp),
-        metric("hardware_efficiency", "server", POWER_PERFORMANCE_RULE, hardware.server_pp),
-    ]
-    complexity_children = [
-        metric("federation_complexity", "global_rounds", COUNT_RULE, complexity.global_rounds),
-        metric("federation_complexity", "num_clients", COUNT_RULE, complexity.num_clients),
-        metric("federation_complexity", "selection_rate", SELECTION_RULE, complexity.selection_rate),
-        metric("federation_complexity", "local_rounds", COUNT_RULE, complexity.avg_local_rounds),
-        metric("federation_complexity", "dataset_size", SIZE_RULE, complexity.avg_dataset_size),
-        metric("federation_complexity", "model_size", SIZE_RULE, complexity.model_size),
-    ]
-    for group in (carbon_children, hardware_children, complexity_children):
-        for child in group:
-            child.weight = 1.0 / len(group)
-
-    notions = [
-        ScoreNode(
-            id=f"{PILLAR_ID}.carbon_intensity",
-            kind=KIND_NOTION,
-            weight=DEFAULT_NOTION_WEIGHTS["carbon_intensity"],
-            children=carbon_children,
-        ),
-        ScoreNode(
-            id=f"{PILLAR_ID}.hardware_efficiency",
-            kind=KIND_NOTION,
-            weight=DEFAULT_NOTION_WEIGHTS["hardware_efficiency"],
-            children=hardware_children,
-        ),
-        ScoreNode(
-            id=f"{PILLAR_ID}.federation_complexity",
-            kind=KIND_NOTION,
-            weight=DEFAULT_NOTION_WEIGHTS["federation_complexity"],
-            children=complexity_children,
-        ),
-    ]
-    return ScoreNode(id=PILLAR_ID, kind=KIND_PILLAR, children=notions)
+    table = {
+        "carbon_intensity": [
+            ("client", CARBON_INTENSITY_RULE, carbon.client_avg),
+            ("server", CARBON_INTENSITY_RULE, carbon.server),
+        ],
+        "hardware_efficiency": [
+            ("client", POWER_PERFORMANCE_RULE, hardware.client_avg_pp),
+            ("server", POWER_PERFORMANCE_RULE, hardware.server_pp),
+        ],
+        "federation_complexity": [
+            ("global_rounds", COUNT_RULE, complexity.global_rounds),
+            ("num_clients", COUNT_RULE, complexity.num_clients),
+            ("selection_rate", SELECTION_RULE, complexity.selection_rate),
+            ("local_rounds", COUNT_RULE, complexity.avg_local_rounds),
+            ("dataset_size", SIZE_RULE, complexity.avg_dataset_size),
+            ("model_size", SIZE_RULE, complexity.model_size),
+        ],
+    }
+    return ScoreNode(PILLAR_ID, KIND_PILLAR, children=[
+        ScoreNode(f"{PILLAR_ID}.{notion}", KIND_NOTION, DEFAULT_NOTION_WEIGHTS[notion], children=[
+            ScoreNode(f"{PILLAR_ID}.{notion}.{leaf}", KIND_METRIC, 1.0 / len(metrics), rule, raw=raw)
+            for leaf, rule, raw in metrics
+        ])
+        for notion, metrics in table.items()
+    ])

@@ -547,6 +547,41 @@ class TestValidate:
         assert "ok" not in out
         assert not (tmp_path / "out").exists()
 
+    # a name read from an input file may hold a newline; the message quotes it, so a second,
+    # forged line never reaches stderr. Usage errors print one line too, not argparse's usage.
+    _FORGED = "bogus\nerror: reference-data: fake"
+    _ONE_LINE_CASES = {
+        "scenario-field": {"scenario": {_FORGED: 1}},
+        "energy-model-field": {"scenario": {"energy_model": {_FORGED: 1}}},
+        "override-not-a-number": {"scenario": {"score_overrides": {_FORGED: "x"}}},
+        "override-out-of-range": {"scenario": {"score_overrides": {_FORGED: 2.0}}},
+        "override-node": {"scenario": {"score_overrides": {_FORGED: 0.5}}},
+        "weight-node": {"weights": {_FORGED: 0.5}},
+        "notion-weight-missing": {"pillars": {"notions": {"a": 0.5, _FORGED: 0.5}, "weights": {"a": 1.0}}},
+        "notion-weight-unknown": {"pillars": {"notions": {"a": 0.5}, "weights": {"a": 1.0, _FORGED: 0.0}}},
+        "seed-not-an-int": {"argv": ["score", "--seed", "abc"]},
+        "config-missing": {"argv": ["score"], "config": False},
+        "unknown-command": {"argv": ["bogus"], "config": False},
+    }
+
+    @pytest.mark.parametrize("case", sorted(_ONE_LINE_CASES))
+    def test_malformed_input_prints_one_validation_line(self, capsys, tmp_path, uc, case):
+        spec = self._ONE_LINE_CASES[case]
+        scenario = {**json.loads(Path(uc("uc_a")).read_text()), **spec.get("scenario", {})}
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        argv = spec.get("argv", ["validate"])
+        if spec.get("config", True):
+            argv = [*argv, "--config", str(tmp_path / "s.json")]
+        if "weights" in spec:
+            (tmp_path / "w.json").write_text(json.dumps(spec["weights"]))
+            argv += ["--weights", str(tmp_path / "w.json")]
+        if "pillars" in spec:
+            (tmp_path / "p.json").write_text(json.dumps({"pillars": {"privacy": spec["pillars"]}}))
+            argv += ["--pillars", str(tmp_path / "p.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), err
+
 
 # ── score ─────────────────────────────────────────────────────────────────
 
@@ -674,6 +709,28 @@ class TestScore:
         assert code == 0
         report = json.loads((tmp_path / "trust_report.json").read_text())
         assert len(report["trust"]["pillar_weights"]) == 6
+
+    def test_negative_zero_inputs_write_the_zero_report(self, capsys, tmp_path, uc):
+        # an override, a weight-file weight, a plain pillar score and a pillar notion score
+        reports = []
+        for zero in (-0.0, 0.0):
+            scenario = json.loads(Path(uc("uc_b")).read_text())
+            scenario["score_overrides"] = {"sustainability.hardware_efficiency.server": zero}
+            (tmp_path / "s.json").write_text(json.dumps(scenario))
+            (tmp_path / "w.json").write_text(json.dumps({
+                "sustainability.carbon_intensity": 1.0,
+                "sustainability.hardware_efficiency": zero,
+                "sustainability.federation_complexity": 0.0,
+            }))
+            (tmp_path / "p.json").write_text(json.dumps(
+                {"pillars": {"privacy": zero, "fairness": {"notions": {"a": zero}}}}))
+            out = tmp_path / str(zero)
+            code, _, err = run(capsys, "score", "--config", str(tmp_path / "s.json"), "--weights",
+                               str(tmp_path / "w.json"), "--pillars", str(tmp_path / "p.json"), "--out", str(out))
+            assert code == 0, err
+            reports.append((out / "trust_report.json").read_bytes())
+        assert b"-0.0" not in reports[0]
+        assert reports[0] == reports[1]
 
 
 # ── simulate ──────────────────────────────────────────────────────────────

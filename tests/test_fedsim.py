@@ -14,6 +14,7 @@ import hashlib
 import logging
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
@@ -414,6 +415,41 @@ class TestNodeIds:
         assert {label: v for label, v in zip(clients.labels, clients.class_counts[3].tolist()) if v} == {
             hash_label(salt, f"class_{j}"): v for j, v in enumerate(fleet_class_counts(config.seed, n, 100, 6)[3].tolist())
             if v}
+
+    class _CountingIds(NodeIds):
+        """A view that counts the ids it reads one by one."""
+
+        def __getitem__(self, index):
+            self.reads += 1
+            return super().__getitem__(index)
+
+    @settings(deadline=None, max_examples=200)
+    @given(ids=st.lists(st.text("ab", min_size=16, max_size=16), max_size=12), ranked=st.booleans(),
+           data=st.data())
+    def test_membership_is_a_search_of_the_text(self, ids, ranked, data):
+        # a two-letter alphabet makes colliding ids and ids that straddle two others common
+        text = "".join(sorted(ids))
+        ranks = np.array(data.draw(st.permutations(range(len(ids)))), dtype=np.int64) if ranked else None
+        view = self._CountingIds(text, ranks)
+        view.reads = 0
+        listed = list(view)
+        probes = [*ids, *(text[i:i + 16] for i in range(max(len(text) - 15, 0))),
+                  data.draw(st.text("ab", min_size=16, max_size=16)), "a" * 15, "a" * 17,
+                  (text[:16] or "a" * 16).encode(), list(text[:16]), None, 7]
+        view.reads = 0
+        assert [x in view for x in probes] == [x in listed for x in probes]
+        assert view.reads == 0
+
+    def test_membership_on_a_million_ids_is_fast(self):
+        n = 10**6
+        text = random.Random(5).randbytes(8 * n).hex()  # a million random 16-hex ids
+        view = self._CountingIds(text, np.arange(n)[::-1].copy())
+        view.reads = 0
+        for probe, member in ((text[-16:], True), ("f" * 16, False), (text[8:24], False)):
+            start = time.perf_counter()
+            assert (probe in view) is member
+            assert time.perf_counter() - start < 0.05
+        assert view.reads == 0
 
     def test_log_holds_the_view_without_a_copy(self, tables):
         state = run_federation(make_config(num_clients=9, sample_size=3, total_rounds=5), tables)

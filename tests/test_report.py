@@ -128,7 +128,7 @@ class TestExternalPillars:
 
     def test_notion_weights_name_only_notions(self):
         value = {"notions": {"a": 0.5}, "weights": {"a": 1, "b": 0, "c": 0}}
-        with pytest.raises(ScoreError, match=r"pillar 'privacy': weights name unknown notion\(s\): b, c$"):
+        with pytest.raises(ScoreError, match=r"pillar 'privacy': weights name unknown notion\(s\): 'b', 'c'$"):
             resolve_pillar_value(value, "privacy")
 
 
