@@ -55,15 +55,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ConfigError, ScoreError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ReferenceDataError as exc:
-        print(f"error: reference-data: {exc}", file=sys.stderr)
-        return EXIT_REFDATA
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (ConfigError, ScoreError, ReferenceDataError, OSError) as exc:
+        category = ("reference-data" if isinstance(exc, ReferenceDataError)
+                    else "io" if isinstance(exc, OSError) else "validation")
+        # each unprintable character escaped as in a repr, so a line break never starts a second line
+        detail = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {category}: {detail}", file=sys.stderr)
+        return EXIT_REFDATA if category == "reference-data" else EXIT_VALIDATION
 
 
 class _Parser(argparse.ArgumentParser):

@@ -76,13 +76,15 @@ count of its node, held by the table in node-id order and read by
 Set-up resolves each hardware and location mix entry once, in
 :func:`price_fleet`, which every command line command also runs. It prices
 every row a run can log, the server's aggregation row included, so the
-rounds only append rows priced at set-up. Each mix entry takes a run of
-consecutive client indices, its largest-remainder share of the fleet, so a
-client's rows are those of its (hardware, location) pair, its price group:
-one integer a client, in node-id order, for the log. A phase whose duration,
-energy or CO2eq overflows is a validation error, not a failed run, and so is
-a run whose totals could: ``total_rounds x (sample_size x the largest client
-round + the server row)`` bounds the energy and CO2eq totals, and
+rounds only append rows priced at set-up. A client's rows are those of its
+price group, the (TDP, grid intensity) pair of its two mix entries, priced
+once. Each mix entry, tagged with its part of the group index, takes a run
+of consecutive client indices, its largest-remainder share of the fleet: a
+client's group, the sum of its entries' parts, is one integer a client, in
+node-id order, for the log. A phase whose duration, energy or CO2eq
+overflows is a validation error, not a failed run, and so is a run whose
+totals could: ``total_rounds x (sample_size x the largest client round +
+the server row)`` bounds the energy and CO2eq totals, and
 ``total_rounds x`` the training duration bounds each client's training time.
 
 numpy is imported on first call by the simulator's functions (the rounds,
@@ -496,14 +498,14 @@ def _finite(value: float, phase: str, quantity: str, run_fields: str = "") -> fl
 
 
 class FleetPrices(NamedTuple):
-    """What :func:`price_fleet` resolved and priced: the client mixes with each entry's
-    TDP and grid intensity, a client's rows in CSV order for each (TDP, intensity) pair,
-    the training duration, and the server's aggregation row, each row
+    """What :func:`price_fleet` resolved and priced: the client mixes with each entry's part
+    of the index of a price group, a distinct (TDP, grid intensity) pair, each group's client
+    rows in CSV order, the training duration, and the server's aggregation row, each row
     ``(phase, duration_s, energy_kwh, intensity, co2eq_g)``."""
 
-    client_tdp: tuple[tuple[float, float], ...]
-    client_intensity: tuple[tuple[float, float], ...]
-    client_rows: dict[tuple[float, float], tuple[tuple, ...]]
+    client_hardware: tuple[tuple[float, int], ...]
+    client_locations: tuple[tuple[float, int], ...]
+    group_rows: tuple[tuple[tuple, ...], ...]
     train_s: float
     server_row: tuple
 
@@ -512,32 +514,34 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
     """Resolve each mix entry once and price every row a run of ``config`` can log.
 
     Prices are keyed by value: each distinct (TDP, grid intensity) pair of the
-    two client mixes is priced once, and so is the server's aggregation. A
-    duration, energy or CO2eq that is not a finite float raises ``ConfigError``,
-    and so does a bound on the run's totals that is not.
+    two client mixes, a price group, is priced once, and so is the server's
+    aggregation. A duration, energy or CO2eq that is not a finite float raises
+    ``ConfigError``, and so does a bound on the run's totals that is not.
     """
     em = config.energy_model
     utilization = em.effective_utilization()
     locations, grid = tables.locations, tables.grid
-    client_tdp = tuple((share, tables.hardware.lookup(hw).tdp) for share, hw in config.client_hardware)
-    client_intensity = tuple(
-        (share, grid.lookup_intensity(locations.resolve(loc, grid))) for share, loc in config.client_locations
-    )
+    client_tdp = [(share, tables.hardware.lookup(hw).tdp) for share, hw in config.client_hardware]
+    client_intensity = [(share, grid.lookup_intensity(locations.resolve(loc, grid)))
+                        for share, loc in config.client_locations]
+    # each distinct value's part of the group index, the groups listed TDP-major
+    intensity_part = {value: i for i, value in enumerate(dict.fromkeys(v for _, v in client_intensity))}
+    tdp_part = {value: i * len(intensity_part) for i, value in enumerate(dict.fromkeys(v for _, v in client_tdp))}
     train_s = _finite(em.train_seconds_per_unit * config.local_rounds * config.dataset_size
                       * (config.model_size / 1e6), "training", "duration_s")
     comm_energy = em.comm_energy_per_byte * (8.0 * config.model_size)  # up and down, 4 bytes/parameter
     if comm_energy > 0.0:  # unpriced when nan, as 0 * inf
         _finite(comm_energy, "communication", "energy_kwh")
-    client_rows = {}
-    for tdp in dict.fromkeys(value for _, value in client_tdp):
+    group_rows = []
+    for tdp in tdp_part:
         energy = _finite(estimate_energy(tdp, utilization, train_s), "training", "energy_kwh")
-        for intensity in dict.fromkeys(value for _, value in client_intensity):
+        for intensity in intensity_part:
             co2 = _finite(energy_to_co2(energy, intensity), "training", "co2eq_g")
             rows = (("training", train_s, energy, intensity, co2),)
             if comm_energy > 0.0:
                 co2 = _finite(energy_to_co2(comm_energy, intensity), "communication", "co2eq_g")
                 rows = (("communication", 0.0, comm_energy, intensity, co2), *rows)
-            client_rows[tdp, intensity] = rows
+            group_rows.append(rows)
 
     server_tdp = tables.hardware.lookup(config.server_hardware).tdp
     server_intensity = float(grid.lookup_intensity(locations.resolve(config.server_location, grid)))
@@ -546,11 +550,13 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
     agg_energy = _finite(estimate_energy(server_tdp, utilization, agg_s), "aggregation", "energy_kwh")
     agg_co2 = _finite(energy_to_co2(agg_energy, server_intensity), "aggregation", "co2eq_g")
     server_row = ("aggregation", agg_s, agg_energy, server_intensity, agg_co2)
-    _bound_run_totals(config, client_rows, train_s, server_row)
-    return FleetPrices(client_tdp, client_intensity, client_rows, train_s, server_row)
+    _bound_run_totals(config, group_rows, train_s, server_row)
+    return FleetPrices(tuple((share, tdp_part[v]) for share, v in client_tdp),
+                       tuple((share, intensity_part[v]) for share, v in client_intensity),
+                       tuple(group_rows), train_s, server_row)
 
 
-def _bound_run_totals(config: FederationConfig, client_rows: dict, train_s: float, server_row: tuple):
+def _bound_run_totals(config: FederationConfig, group_rows: list[tuple], train_s: float, server_row: tuple):
     """Raise ``ConfigError`` unless the run's totals stay finite floats.
 
     No price is negative, so ``total_rounds x (sample_size x the largest client
@@ -561,7 +567,7 @@ def _bound_run_totals(config: FederationConfig, client_rows: dict, train_s: floa
     rounds, m = config.total_rounds, config.sample_size
     _finite(rounds * train_s, "training", "run total duration_s", "total_rounds, ")
     for index, quantity in ((2, "energy_kwh"), (4, "co2eq_g")):
-        heaviest = max(client_rows.values(), key=lambda rows: sum(row[index] for row in rows))
+        heaviest = max(group_rows, key=lambda rows: sum(row[index] for row in rows))
         shares = [(m * row[index], row[0]) for row in heaviest] + [(server_row[index], "aggregation")]
         bound = rounds * sum(share for share, _ in shares)
         if not math.isfinite(bound):
@@ -601,15 +607,11 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     node_ids = digests[order].data.hex()
     ranks = np.empty(n, dtype=np.int32)  # so a batch of drawn ranks is int32 as the log keeps it
     ranks[order] = np.arange(n)
-    # client c has the hardware entry whose consecutive indices hold c, and the location entry;
-    # its price group is that (hardware, location) pair, listed in node-id order
-    hardware = np.searchsorted(np.cumsum(_assign_by_share(prices.client_tdp, n)), order, side="right")
-    location = np.searchsorted(np.cumsum(_assign_by_share(prices.client_intensity, n)), order, side="right")
-    group_rows = [prices.client_rows[tdp, intensity]
-                  for _, tdp in prices.client_tdp for _, intensity in prices.client_intensity]
-    # the log's node r is the client of node-id rank r, so a round's block is its sorted ranks
-    log = EmissionsLog(NodeIds(node_ids), hardware * len(prices.client_intensity) + location, group_rows,
-                       prices.server_row)
+    # a mix entry's clients are consecutive; a client's price group sums its two entries' parts.
+    # The log's node r is the client of node-id rank r, so a round's block is its sorted ranks
+    hardware, location = (np.repeat([part for _, part in mix], _assign_by_share(mix, n))
+                          for mix in (prices.client_hardware, prices.client_locations))
+    log = EmissionsLog(NodeIds(node_ids), (hardware + location)[order], prices.group_rows, prices.server_row)
     label_counts = fleet_class_counts(seed, n, config.dataset_size, config.num_label_classes)
     labels = [f"class_{j}" for j in range(config.num_label_classes)]
     hashed_labels = [hash_label(salt, label) for label in labels]

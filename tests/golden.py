@@ -5,7 +5,7 @@ scenario (``simulate`` at three seeds, desk_scale_1000 also at ``--seed 3``),
 ``compare`` on the two proposals with their pillar files (also under the
 bundled weight file), ``score`` under the bundled weight file, ``score`` of
 proposal_b with its pillar file, ``--allow-partial`` with one pillar missing
-(also under a weight file over all seven pillars), ``simulate`` on four
+(also under a weight file over all seven pillars), ``simulate`` on five
 generated fleets (:data:`FLEETS`), and two rejected scenarios: one with a NaN
 statistic (exit 1) and one with an unresolvable location (exit 2). Each case runs
 in-process through ``fedsust.cli.main`` in a fresh temporary directory that
@@ -43,7 +43,8 @@ OUTPUTS = ("trust_report.json", "factsheet.json", "emissions.csv", "comparison.j
 # most clients are never drawn, a small long run whose rows hold zero counts
 # (dataset_size < num_label_classes) and whose repeated training-time sums differ from
 # the single duration, a full-participation run (sample_size = num_clients), and a run
-# drawn in a batch of 81 rounds (numpy steps) and one of 4 (list swaps).
+# drawn in a batch of 81 rounds (numpy steps) and one of 4 (list swaps). The fleet
+# "merged" has the mixes of MIXES instead.
 FLEETS = {
     "wide": dict(num_clients=5000, sample_size=10, total_rounds=20, dataset_size=500,
                  num_label_classes=10, local_rounds=2, model_size=1_600_000, seed=11),
@@ -53,6 +54,28 @@ FLEETS = {
                  num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 9),
     "batches": dict(num_clients=1000, sample_size=800, total_rounds=85, dataset_size=64,
                     num_label_classes=7, local_rounds=2, model_size=250_000, seed=2**40 + 19),
+    "merged": dict(num_clients=300, sample_size=24, total_rounds=15, dataset_size=48,
+                   num_label_classes=5, local_rounds=1, model_size=400_000, seed=2**32 + 28),
+}
+_DEFAULT_MIXES = {
+    "client_hardware": [{"share": 0.45, "model": "Intel Core i7-1250U"},
+                        {"share": 0.35, "model": "AMD FX-9590"},
+                        {"share": 0.2, "model": "NVIDIA GeForce RTX 3060"}],
+    "client_locations": [{"share": 0.5, "location": "ch"}, {"share": 0.3, "location": "ZA"},
+                         {"share": 0.2, "location": "203.0.113.128"}],
+}
+# Mixes that repeat values, so clients of different entries price alike on both sides:
+# two spellings of one model and two 15 W models; "192.0.2.17" resolves to CH and
+# "node-za-3" to ZA.
+MIXES = {
+    "merged": {
+        "client_hardware": [{"share": 0.3, "model": "Intel Core i7-1250U"},
+                            {"share": 0.2, "model": "intel CORE i7-1250u"},
+                            {"share": 0.25, "model": "Intel Core i5-1335U"},
+                            {"share": 0.25, "model": "Intel Core i7-8650U"}],
+        "client_locations": [{"share": 0.3, "location": "CH"}, {"share": 0.2, "location": "192.0.2.17"},
+                             {"share": 0.3, "location": "ZA"}, {"share": 0.2, "location": "node-za-3"}],
+    },
 }
 
 
@@ -64,11 +87,7 @@ def _derived() -> dict[str, dict]:
     fleets = {f"fleet_{shape}.json": {
         "name": f"pinned_{shape}",
         **fields,
-        "client_hardware": [{"share": 0.45, "model": "Intel Core i7-1250U"},
-                            {"share": 0.35, "model": "AMD FX-9590"},
-                            {"share": 0.2, "model": "NVIDIA GeForce RTX 3060"}],
-        "client_locations": [{"share": 0.5, "location": "ch"}, {"share": 0.3, "location": "ZA"},
-                             {"share": 0.2, "location": "203.0.113.128"}],
+        **MIXES.get(shape, _DEFAULT_MIXES),
         "server_hardware": "Intel Xeon E5-2650",
         "server_location": "node-eu-7",
         "energy_model": {"cpu_utilization": 0.7, "comm_energy_per_byte": 1e-12},

@@ -548,7 +548,8 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     # a name read from an input file may hold a newline; the message quotes it, so a second,
-    # forged line never reaches stderr. Usage errors print one line too, not argparse's usage.
+    # forged line never reaches stderr. Usage errors print one line too, not argparse's usage,
+    # and a command-line argument's newline is escaped where the error is printed.
     _FORGED = "bogus\nerror: reference-data: fake"
     _ONE_LINE_CASES = {
         "scenario-field": {"scenario": {_FORGED: 1}},
@@ -562,6 +563,10 @@ class TestValidate:
         "seed-not-an-int": {"argv": ["score", "--seed", "abc"]},
         "config-missing": {"argv": ["score"], "config": False},
         "unknown-command": {"argv": ["bogus"], "config": False},
+        "unrecognized-argument": {"argv": ["validate", f"--{_FORGED}"]},
+        "config-path": {"argv": ["validate", "--config", _FORGED], "config": False},
+        "weights-path": {"argv": ["validate", "--weights", _FORGED]},
+        "pillars-path": {"argv": ["validate", "--pillars", _FORGED]},
     }
 
     @pytest.mark.parametrize("case", sorted(_ONE_LINE_CASES))

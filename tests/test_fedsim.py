@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from fedsust import fedsim
 from fedsust.config import ConfigError, parse_config
-from fedsust.emissions import NodeIds
+from fedsust.emissions import NodeIds, estimate_energy
 from fedsust.fedsim import (
     ClientTable,
     SelectionStream,
@@ -666,13 +666,42 @@ class TestPriceFleet:
             client_locations=[f"node-eu-{c}" if c % 2 else f"node-za-{c}" for c in range(n)],
         )
         prices = price_fleet(config, tables)
-        assert len(prices.client_tdp) == len(prices.client_intensity) == n
+        assert len(prices.client_hardware) == len(prices.client_locations) == n
         ch, za = tables.grid.lookup_intensity("CH"), tables.grid.lookup_intensity("ZA")
-        assert set(prices.client_rows) == {(220.0, ch), (220.0, za), (15.0, ch), (15.0, za)}
+        energy = {tdp: estimate_energy(tdp, config.energy_model.effective_utilization(), prices.train_s)
+                  for tdp in (220.0, 15.0)}
+        # one group per (TDP, intensity) pair, TDP-major in order of first use: entry 0 is 220 W in ZA
+        assert [rows[0][2:4] for rows in prices.group_rows] == [
+            (energy[220.0], za), (energy[220.0], ch), (energy[15.0], za), (energy[15.0], ch)]
+        for c, ((_, hardware), (_, location)) in enumerate(zip(prices.client_hardware, prices.client_locations)):
+            assert prices.group_rows[hardware + location][0][2:4] == (
+                energy[220.0 if c % 3 == 0 else 15.0], ch if c % 2 else za)
         state = run_federation(config, tables)
+        assert len(state.emissions._rows) == 4  # not 60 x 60 = 3,600
         assert {(r.intensity, r.energy_kwh) for r in state.emissions.records if r.role == "client"} == {
-            (intensity, rows[0][2]) for (_, intensity), rows in prices.client_rows.items()
+            (rows[0][3], rows[0][2]) for rows in prices.group_rows
         }
+
+    def test_many_mix_entries_stay_bounded(self, tables):
+        # 2,048 spellings of one model, each used twice, and 4,096 addresses in one grid price
+        # like one entry per mix; nothing grows with hardware entries x location entries
+        n = 4096
+        fleet = dict(num_clients=n, sample_size=16, total_rounds=3)
+        spelled = make_config(**fleet, client_locations=[f"192.0.2.{c}" for c in range(n)],
+                              client_hardware=[_spelled("Intel Core i7-1250U", c % (n // 2)) for c in range(n)])
+        assert len(spelled.client_hardware) == n // 2 and len(spelled.client_locations) == n
+        plain = make_config(**fleet, client_hardware="Intel Core i7-1250U", client_locations="CH")
+        prices = price_fleet(spelled, tables)
+        assert len(prices.group_rows) == 1
+        gc.collect()
+        tracemalloc.start()
+        try:
+            state = run_federation(spelled, prices=prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert state.emissions.to_csv_bytes() == run_federation(plain, tables).emissions.to_csv_bytes()
 
     def test_set_up_resolves_each_mix_entry_once(self, tables, monkeypatch):
         calls = Counter()
