@@ -115,14 +115,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
+def _read_weights(args) -> dict:
+    return load_weight_config(args.weights) if args.weights else {}
+
+
+def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0,
+              read_weights=None):
     """The one pipeline of every command: returns ``(config, trust report, fleet prices)``.
 
     Parses the scenario and applies ``--seed``, scores the pillar under the
     weight file's tree weights, prices the fleet (an overflowing phase is a
     validation error), loads the ``which``-th ``--pillars`` file (the last
     one when fewer are given; more than ``--config`` files is an error) and
-    builds the trust report without its emissions block.
+    builds the trust report without its emissions block. The weight file is
+    read by ``read_weights()`` when given (compare's one reading for both
+    sides), else here.
     """
     configs = args.config if isinstance(args.config, list) else [args.config]
     if args.pillars and len(args.pillars) > len(configs):
@@ -132,7 +139,7 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0):
     config = load_scenario(config_path)
     if args.seed is not None:
         config = config._replace(seed=check_seed(args.seed))
-    weights = load_weight_config(args.weights) if args.weights else {}
+    weights = read_weights() if read_weights else _read_weights(args)
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}
     scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
@@ -204,9 +211,10 @@ def cmd_compare(args) -> int:
     if len(args.config) != 2:
         raise ConfigError(f"compare needs exactly two --config arguments, got {len(args.config)}")
     tables = ReferenceTables.load()
+    read_weights = functools.cache(functools.partial(_read_weights, args))  # read at side A's turn
     sides = []
     for i, config_path in enumerate(args.config):
-        config, report, _ = _evaluate(args, tables, config_path, which=i)
+        config, report, _ = _evaluate(args, tables, config_path, which=i, read_weights=read_weights)
         if report["trust"] is None:
             raise ConfigError("compare needs external pillar scores; pass --pillars")
         external = [e["score_raw"] for _, e in sorted(report["pillars"].items()) if e["source"] == "external"]

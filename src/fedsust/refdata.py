@@ -18,11 +18,20 @@ variable at a directory with the same file names:
 
 Loading is total: every row parses or the loader raises naming the file,
 row number, and column. The records are immutable ``typing.NamedTuple``s.
+
+Every load reads its file, but parses it only once per process for each
+distinct ``(path, text)`` pair: the parsed tables sit in a small bounded
+cache keyed by the file's contents, not its modification time, so an edited
+file takes effect on the next load. A parse that fails is not cached and
+raises again on the next load. The tables never change after they are
+built, so loads of the same text share them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import os
 from pathlib import Path
@@ -169,10 +178,13 @@ class ReferenceTables(NamedTuple):
     def load(cls, data_dir: str | Path | None = None) -> "ReferenceTables":
         base = Path(data_dir) if data_dir is not None else default_data_dir()
         return cls(
-            grid=load_grid_intensity(base / "grid_intensity.csv"),
-            hardware=load_hardware(base / "hardware.csv"),
-            locations=load_locations(base / "locations.csv"),
+            grid=_parse_grid_intensity(*_read(base / "grid_intensity.csv")),
+            hardware=_parse_hardware(*_read(base / "hardware.csv")),
+            locations=_parse_locations(*_read(base / "locations.csv")),
         )
+
+
+_BUNDLED_DATA_DIR = Path(__file__).with_name("data")
 
 
 def default_data_dir() -> Path:
@@ -180,35 +192,49 @@ def default_data_dir() -> Path:
     env = os.environ.get("FEDSUST_DATA_DIR")
     if env:
         return Path(env)
-    return Path(__file__).with_name("data")
+    return _BUNDLED_DATA_DIR
 
 
-def _rows(path: Path, expected_header: list[str]):
+def _read(path: Path) -> tuple[str, str]:
+    """``(path as messages name it, file text)``: the arguments of a parse."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ReferenceDataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReferenceDataError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != expected_header:
+    try:
+        return str(path), raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReferenceDataError(f"{path}: file is not UTF-8 text: {exc}") from None
+
+
+# Parsed tables kept per loader, keyed by (path, file text): the bundled
+# directory plus a few FEDSUST_DATA_DIR overrides in one process.
+_PARSE_CACHE_SIZE = 8
+_parse_cache = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+
+
+def _rows(path: str, text: str, expected_header: list[str]):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ReferenceDataError(f"{path}: file is empty") from None
+    if [h.strip() for h in header] != expected_header:
+        raise ReferenceDataError(
+            f"{path}: header {header!r} does not match expected {expected_header!r}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(expected_header):
             raise ReferenceDataError(
-                f"{path}: header {header!r} does not match expected {expected_header!r}"
+                f"{path}: row {line_no} has {len(row)} fields, expected {len(expected_header)}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ReferenceDataError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(expected_header)}"
-                )
-            yield line_no, row
+        yield line_no, row
 
 
-def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
+def _parse_float(path: str, line_no: int, column: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
@@ -218,9 +244,13 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
 
 
 def load_grid_intensity(path: str | Path) -> GridIntensityTable:
-    path = Path(path)
+    return _parse_grid_intensity(*_read(Path(path)))
+
+
+@_parse_cache
+def _parse_grid_intensity(path: str, text: str) -> GridIntensityTable:
     entries: dict[str, float] = {}
-    for line_no, row in _rows(path, ["country_code", "intensity_gco2_per_kwh", "source", "comment"]):
+    for line_no, row in _rows(path, text, ["country_code", "intensity_gco2_per_kwh", "source", "comment"]):
         code = row[0].strip().upper()
         if len(code) != 2 or not code.isalpha():
             raise ReferenceDataError(
@@ -237,9 +267,13 @@ _PP_FORMAT = "%.4g"
 
 
 def load_hardware(path: str | Path) -> HardwareTable:
-    path = Path(path)
+    return _parse_hardware(*_read(Path(path)))
+
+
+@_parse_cache
+def _parse_hardware(path: str, text: str) -> HardwareTable:
     profiles: dict[str, HardwareProfile] = {}
-    for line_no, row in _rows(path, ["model", "kind", "benchmark_mark", "tdp_watts", "power_performance"]):
+    for line_no, row in _rows(path, text, ["model", "kind", "benchmark_mark", "tdp_watts", "power_performance"]):
         model = " ".join(row[0].split())
         if not model:
             raise ReferenceDataError(f"{path}: row {line_no}, column 'model': empty model name")
@@ -267,10 +301,14 @@ def load_hardware(path: str | Path) -> HardwareTable:
 
 
 def load_locations(path: str | Path) -> LocationResolver:
-    path = Path(path)
+    return _parse_locations(*_read(Path(path)))
+
+
+@_parse_cache
+def _parse_locations(path: str, text: str) -> LocationResolver:
     prefixes: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for line_no, row in _rows(path, ["prefix", "country_code"]):
+    for line_no, row in _rows(path, text, ["prefix", "country_code"]):
         prefix = row[0].strip()
         code = row[1].strip().upper()
         if not prefix:

@@ -934,6 +934,34 @@ class TestCompare:
             assert weighted[side]["trust_with_sustainability"]["pillar_weights"] == weights
             assert weighted[side]["trust_with_sustainability"] != equal[side]["trust_with_sustainability"]
 
+    def test_weight_file_is_read_once(self, capsys, monkeypatch, uc, pillars, scenario_dir, tmp_path):
+        calls = []
+        original = cli.load_weight_config
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(cli, "load_weight_config", counted)
+        weights = str(scenario_dir.parent / "weights" / "carbon_emphasis.json")
+        code, _, err = run(capsys, "compare", "--config", uc("proposal_a"), "--config", uc("proposal_b"),
+                           "--pillars", pillars("proposal_a"), "--weights", weights, "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert calls == [weights]
+
+    def test_bad_scenario_a_is_reported_before_a_bad_weight_file(self, capsys, uc, pillars, tmp_path):
+        (tmp_path / "a.json").write_text("{")
+        (tmp_path / "w.json").write_text("[")
+        argv = ["compare", "--config", str(tmp_path / "a.json"), "--config", uc("proposal_b"),
+                "--pillars", pillars("proposal_a"), "--weights", str(tmp_path / "w.json"),
+                "--out", str(tmp_path / "out")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1
+        assert "a.json" in err and "w.json" not in err
+        argv[2] = uc("proposal_a")
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1 and "w.json" in err
+
     def test_compare_requires_pillars(self, capsys, uc, tmp_path):
         code, _, err = run(capsys, "compare", "--config", uc("proposal_a"),
                            "--config", uc("proposal_b"), "--out", str(tmp_path))

@@ -1,7 +1,10 @@
 """Tests for the bundled reference tables and their loaders."""
 
+import os
+
 import pytest
 
+from fedsust import refdata
 from fedsust.refdata import (
     GridIntensityTable,
     LocationResolver,
@@ -195,3 +198,84 @@ def test_resolver_with_no_prefixes_still_passes_codes(tables):
     assert resolver.resolve("CH", tables.grid) == "CH"
     with pytest.raises(UnresolvableLocationError):
         resolver.resolve("somewhere", tables.grid)
+
+
+# ── parse cache: keyed by file contents ───────────────────────────────────
+
+
+def data_copy(directory):
+    """A copy of the bundled reference data in ``directory``."""
+    directory.mkdir(exist_ok=True)
+    for name in ("grid_intensity.csv", "hardware.csv", "locations.csv"):
+        (directory / name).write_bytes((default_data_dir() / name).read_bytes())
+    return directory
+
+
+def agree(one, two):
+    assert dict(one.grid.items()) == dict(two.grid.items())
+    assert one.hardware.profiles() == two.hardware.profiles()
+    for addr in ("CH", "za", "192.0.2.44", "203.0.113.7", "203.0.113.128", "node-eu-7"):
+        assert one.locations.resolve(addr, one.grid) == two.locations.resolve(addr, two.grid), addr
+
+
+class TestParseCache:
+    def test_unchanged_files_give_agreeing_tables(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        agree(ReferenceTables.load(data), ReferenceTables.load(data))
+
+    def test_same_size_edit_with_restored_mtime_is_seen(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        grid = data / "grid_intensity.csv"
+        text = grid.read_text(encoding="utf-8")
+        assert "\nCH,32," in text
+        assert ReferenceTables.load(data).grid.lookup_intensity("CH") == 32
+        before = grid.stat()
+        grid.write_text(text.replace("\nCH,32,", "\nCH,33,"), encoding="utf-8")
+        os.utime(grid, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = grid.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert ReferenceTables.load(data).grid.lookup_intensity("CH") == 33
+
+    def test_parse_error_is_not_cached(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        hardware = data / "hardware.csv"
+        good = hardware.read_text(encoding="utf-8")
+        hardware.write_text(good + "X 1,TPU,1000,100,10\n", encoding="utf-8")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ReferenceDataError, match="column 'kind'") as info:
+                ReferenceTables.load(data)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        hardware.write_text(good, encoding="utf-8")
+        agree(ReferenceTables.load(data), ReferenceTables.load(default_data_dir()))
+
+    def test_switching_data_dir_gives_each_dirs_values(self, tmp_path, monkeypatch):
+        one, two = data_copy(tmp_path / "one"), data_copy(tmp_path / "two")
+        text = (two / "grid_intensity.csv").read_text(encoding="utf-8")
+        (two / "grid_intensity.csv").write_text(text.replace("\nCH,32,", "\nCH,40,"), encoding="utf-8")
+        for directory, expected in ((one, 32), (two, 40), (one, 32), (two, 40)):
+            monkeypatch.setenv("FEDSUST_DATA_DIR", str(directory))
+            assert ReferenceTables.load().grid.lookup_intensity("CH") == expected
+
+    def test_grid_error_is_reported_before_a_missing_hardware_file(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        write(data / "grid_intensity.csv",
+              "country_code,intensity_gco2_per_kwh,source,comment\nCH,thirty-two,x,\n")
+        (data / "hardware.csv").unlink()
+        with pytest.raises(ReferenceDataError, match="grid_intensity.csv: row 2"):
+            ReferenceTables.load(data)
+
+    def test_cache_stays_bounded(self, tmp_path):
+        size = refdata._PARSE_CACHE_SIZE
+        for i in range(size + 3):
+            ReferenceTables.load(data_copy(tmp_path / f"d{i}"))
+        for parse in (refdata._parse_grid_intensity, refdata._parse_hardware, refdata._parse_locations):
+            assert parse.cache_info().maxsize == size
+            assert parse.cache_info().currsize <= size
+
+    def test_file_that_is_not_utf8_is_a_reference_data_error(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        (data / "locations.csv").write_bytes(b"prefix,country_code\n\xff,CH\n")
+        with pytest.raises(ReferenceDataError, match="locations.csv: file is not UTF-8 text"):
+            ReferenceTables.load(data)
