@@ -123,13 +123,13 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0,
               read_weights=None):
     """The one pipeline of every command: returns ``(config, trust report, fleet prices)``.
 
-    Parses the scenario and applies ``--seed``, scores the pillar under the
-    weight file's tree weights, prices the fleet (an overflowing phase is a
-    validation error), loads the ``which``-th ``--pillars`` file (the last
-    one when fewer are given; more than ``--config`` files is an error) and
-    builds the trust report without its emissions block. The weight file is
-    read by ``read_weights()`` when given (compare's one reading for both
-    sides), else here.
+    Parses the scenario and applies ``--seed``, resolves its reference rows,
+    scores the pillar from them under the weight file's tree weights, prices
+    the fleet from them (an overflowing phase is a validation error), loads
+    the ``which``-th ``--pillars`` file (the last one when fewer are given;
+    more than ``--config`` files is an error) and builds the trust report
+    without its emissions block. The weight file is read by ``read_weights()``
+    when given (compare's one reading for both sides), else here.
     """
     configs = args.config if isinstance(args.config, list) else [args.config]
     if args.pillars and len(args.pillars) > len(configs):
@@ -142,19 +142,17 @@ def _evaluate(args, tables: ReferenceTables, config_path: str, which: int = 0,
     weights = read_weights() if read_weights else _read_weights(args)
     tree_weights = {k: v for k, v in weights.items() if k not in _PILLAR_LEVEL_IDS}
     pillar_weights = {k: v for k, v in weights.items() if k in _PILLAR_LEVEL_IDS}
-    scored = _score_pillar(config, tables, tree_weights, args.allow_partial)
-    prices = price_fleet(config, tables)
+    fleet = tables.resolve(config)
+    scored = _score_pillar(config, fleet, tree_weights, args.allow_partial)
+    prices = price_fleet(config, fleet)
     externals = load_pillar_fixture(args.pillars[min(which, len(args.pillars) - 1)]) if args.pillars else None
     report = build_trust_report(config, scored, externals, pillar_weights=pillar_weights,
                                 allow_partial=args.allow_partial)
     return config, report, prices
 
 
-def _score_pillar(config, tables, tree_weights, allow_partial) -> ScoreNode:
-    carbon = assess_carbon(config, tables.grid, tables.locations)
-    hardware = assess_hardware(config, tables.hardware)
-    complexity = assess_complexity(config)
-    node = build_sustainability_node(carbon, hardware, complexity)
+def _score_pillar(config, fleet, tree_weights, allow_partial) -> ScoreNode:
+    node = build_sustainability_node(assess_carbon(fleet), assess_hardware(fleet), assess_complexity(config))
     known = {n.id for n in node.walk()}
     unknown = sorted(set(config.score_overrides) - known)
     if unknown:
@@ -190,8 +188,7 @@ def cmd_score(args) -> int:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"field 'workers' must be >= 1, got {args.workers}")
-    tables = ReferenceTables.load()
-    config, report, prices = _evaluate(args, tables, args.config)
+    config, report, prices = _evaluate(args, ReferenceTables.load(), args.config)
     state = run_federation(config, prices=prices)
     factsheet = populate_factsheet(config, state)
     emissions = report["emissions"] = emissions_summary(state)

@@ -73,7 +73,7 @@ ids collide writes its CSV sorted. Each client's rounds drawn are the log's
 count of its node, held by the table in node-id order and read by
 :class:`SelectionCounts` by node id.
 
-Set-up resolves each hardware and location mix entry once, in
+Set-up prices each mix entry's resolved reference row once, in
 :func:`price_fleet`, which every command line command also runs. It prices
 every row a run can log, the server's aggregation row included, so the
 rounds only append rows priced at set-up. A client's rows are those of its
@@ -107,7 +107,7 @@ from .config import ConfigError, FederationConfig, FrozenRecord
 from .emissions import EmissionsLog, NodeIds, energy_to_co2, estimate_energy
 # track_phase is unused here; bench/tracer.py patches fedsim.track_phase
 from .emissions import track_phase  # noqa: F401
-from .refdata import ReferenceTables
+from .refdata import ReferenceTables, ResolvedFleet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -498,7 +498,7 @@ def _finite(value: float, phase: str, quantity: str, run_fields: str = "") -> fl
 
 
 class FleetPrices(NamedTuple):
-    """What :func:`price_fleet` resolved and priced: the client mixes with each entry's part
+    """What :func:`price_fleet` priced: the client mixes with each entry's part
     of the index of a price group, a distinct (TDP, grid intensity) pair, each group's client
     rows in CSV order, the training duration, and the server's aggregation row, each row
     ``(phase, duration_s, energy_kwh, intensity, co2eq_g)``."""
@@ -510,8 +510,8 @@ class FleetPrices(NamedTuple):
     server_row: tuple
 
 
-def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrices:
-    """Resolve each mix entry once and price every row a run of ``config`` can log.
+def price_fleet(config: FederationConfig, fleet: ResolvedFleet) -> FleetPrices:
+    """Price every row a run of ``config`` can log from its reference rows ``fleet``.
 
     Prices are keyed by value: each distinct (TDP, grid intensity) pair of the
     two client mixes, a price group, is priced once, and so is the server's
@@ -520,12 +520,9 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
     """
     em = config.energy_model
     utilization = em.effective_utilization()
-    locations, grid = tables.locations, tables.grid
-    client_tdp = [(share, tables.hardware.lookup(hw).tdp) for share, hw in config.client_hardware]
-    client_intensity = [(share, grid.lookup_intensity(locations.resolve(loc, grid)))
-                        for share, loc in config.client_locations]
+    client_tdp = [(share, profile.tdp) for share, profile in fleet.client_hardware]
     # each distinct value's part of the group index, the groups listed TDP-major
-    intensity_part = {value: i for i, value in enumerate(dict.fromkeys(v for _, v in client_intensity))}
+    intensity_part = {value: i for i, value in enumerate(dict.fromkeys(v for _, v in fleet.client_intensity))}
     tdp_part = {value: i * len(intensity_part) for i, value in enumerate(dict.fromkeys(v for _, v in client_tdp))}
     train_s = _finite(em.train_seconds_per_unit * config.local_rounds * config.dataset_size
                       * (config.model_size / 1e6), "training", "duration_s")
@@ -543,8 +540,8 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
                 rows = (("communication", 0.0, comm_energy, intensity, co2), *rows)
             group_rows.append(rows)
 
-    server_tdp = tables.hardware.lookup(config.server_hardware).tdp
-    server_intensity = float(grid.lookup_intensity(locations.resolve(config.server_location, grid)))
+    server_tdp = fleet.server_hardware.tdp
+    server_intensity = float(fleet.server_intensity)
     agg_s = _finite(em.agg_seconds_per_unit * config.sample_size * (config.model_size / 1e6),
                     "aggregation", "duration_s")
     agg_energy = _finite(estimate_energy(server_tdp, utilization, agg_s), "aggregation", "energy_kwh")
@@ -552,7 +549,7 @@ def price_fleet(config: FederationConfig, tables: ReferenceTables) -> FleetPrice
     server_row = ("aggregation", agg_s, agg_energy, server_intensity, agg_co2)
     _bound_run_totals(config, group_rows, train_s, server_row)
     return FleetPrices(tuple((share, tdp_part[v]) for share, v in client_tdp),
-                       tuple((share, intensity_part[v]) for share, v in client_intensity),
+                       tuple((share, intensity_part[v]) for share, v in fleet.client_intensity),
                        tuple(group_rows), train_s, server_row)
 
 
@@ -581,9 +578,9 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     Per round, serially: draw ``sample_size`` clients without replacement,
     log a training row per drawn client (plus a communication row when
     communication energy is priced) and one server aggregation row.
-    ``prices`` is :func:`price_fleet`'s result for ``config``, priced from
-    ``tables`` when absent; pricing resolves each mix entry once, so an
-    unresolvable entry fails even when no client gets it. Set-up hashes every
+    ``prices`` is :func:`price_fleet`'s result for ``config``; when absent,
+    ``config`` is resolved against ``tables`` and priced, so an unresolvable
+    mix entry fails even when no client gets it. Set-up hashes every
     client once and sorts the node ids once; the log's client nodes are in
     that order. Each batch of rounds drawn by :func:`_draw_batch` is logged as
     its array of sorted node-id ranks, and a full-participation run as one row
@@ -596,7 +593,7 @@ def run_federation(config: FederationConfig, tables: ReferenceTables | None = No
     import numpy as np
 
     if prices is None:
-        prices = price_fleet(config, tables or ReferenceTables.load())
+        prices = price_fleet(config, (tables or ReferenceTables.load()).resolve(config))
 
     n, m, rounds, seed = config.num_clients, config.sample_size, config.total_rounds, config.seed
     salt = run_salt(seed)

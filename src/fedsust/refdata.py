@@ -1,4 +1,4 @@
-"""Bundled reference tables and their loaders.
+"""Bundled reference tables, their loader, and a scenario's rows in them.
 
 Three small CSV datasets ship with the package (``fedsust/data/``) and can
 be replaced wholesale by pointing the ``FEDSUST_DATA_DIR`` environment
@@ -14,13 +14,15 @@ variable at a directory with the same file names:
     whitespace collapse.
 ``locations.csv``
     ``prefix,country_code`` -- address-prefix to country mapping used to
-    resolve node addresses without any network call.
+    resolve node addresses without any network call. Prefixes match
+    case-insensitively.
 
-Loading is total: every row parses or the loader raises naming the file,
-row number, and column. The records are immutable ``typing.NamedTuple``s.
+Loading is total: every row parses or the load raises naming the file, row
+number, and column. :meth:`ReferenceTables.resolve` looks up a scenario's
+rows once. The records are immutable ``typing.NamedTuple``s.
 
-Every load reads its file, but parses it only once per process for each
-distinct ``(path, text)`` pair: the parsed tables sit in a small bounded
+Every load reads the three files, but parses each only once per process for
+each distinct ``(path, text)`` pair: the parsed tables sit in a small bounded
 cache keyed by the file's contents, not its modification time, so an edited
 file takes effect on the next load. A parse that fails is not cached and
 raises again on the next load. The tables never change after they are
@@ -44,6 +46,7 @@ __all__ = [
     "LocationResolver",
     "ReferenceDataError",
     "ReferenceTables",
+    "ResolvedFleet",
     "UnknownGridError",
     "UnknownHardwareError",
     "UnresolvableLocationError",
@@ -81,7 +84,10 @@ def power_performance(benchmark: float, tdp: float) -> float:
         raise ReferenceDataError(f"benchmark mark must be > 0, got {benchmark!r}")
     if not (math.isfinite(tdp) and tdp > 0.0):
         raise ReferenceDataError(f"TDP watts must be > 0, got {tdp!r}")
-    return benchmark / tdp
+    ratio = benchmark / tdp
+    if not math.isfinite(ratio):
+        raise ReferenceDataError(f"benchmark/tdp = {benchmark!r}/{tdp!r} is not a finite float")
+    return ratio
 
 
 def normalize_model_name(model: str) -> str:
@@ -150,21 +156,31 @@ class LocationResolver:
     """Resolve node addresses to country codes via longest-prefix match.
 
     A value that already is a country code present in the grid table passes
-    through unchanged. Anything else must match a mapped prefix; there is no
-    silent default.
+    through unchanged. Anything else must match a mapped prefix, whatever
+    the letter case of either; there is no silent default.
     """
 
     def __init__(self, prefixes: list[tuple[str, str]]):
-        self._prefixes = sorted(prefixes, key=lambda item: len(item[0]), reverse=True)
+        self._prefixes = sorted(((p.lower(), code) for p, code in prefixes), key=lambda item: -len(item[0]))
 
     def resolve(self, addr: str, grid: GridIntensityTable) -> str:
         candidate = addr.strip()
         if candidate.upper() in grid:
             return candidate.upper()
+        candidate = candidate.lower()
         for prefix, code in self._prefixes:
             if candidate.startswith(prefix):
                 return code
         raise UnresolvableLocationError(f"unresolvable location {addr!r}")
+
+
+class ResolvedFleet(NamedTuple):
+    """A scenario's reference rows: each client mix entry's, in mix order, and the server's."""
+
+    client_hardware: tuple[tuple[float, HardwareProfile], ...]  # (share, profile)
+    client_intensity: tuple[tuple[float, float], ...]  # (share, gCO2eq/kWh)
+    server_hardware: HardwareProfile
+    server_intensity: float
 
 
 class ReferenceTables(NamedTuple):
@@ -182,6 +198,16 @@ class ReferenceTables(NamedTuple):
             hardware=_parse_hardware(*_read(base / "hardware.csv")),
             locations=_parse_locations(*_read(base / "locations.csv")),
         )
+
+    def resolve(self, config) -> ResolvedFleet:
+        """The rows of the scenario ``config``, each looked up once. A miss raises for the first bad
+        client location, then the server location, then client model, then the server model."""
+        grid, hardware, locations = self
+        client_intensity = tuple((share, grid.lookup_intensity(locations.resolve(loc, grid)))
+                                 for share, loc in config.client_locations)
+        server_intensity = grid.lookup_intensity(locations.resolve(config.server_location, grid))
+        return ResolvedFleet(tuple((share, hardware.lookup(m)) for share, m in config.client_hardware),
+                             client_intensity, hardware.lookup(config.server_hardware), server_intensity)
 
 
 _BUNDLED_DATA_DIR = Path(__file__).with_name("data")
@@ -208,7 +234,7 @@ def _read(path: Path) -> tuple[str, str]:
         raise ReferenceDataError(f"{path}: file is not UTF-8 text: {exc}") from None
 
 
-# Parsed tables kept per loader, keyed by (path, file text): the bundled
+# Parsed tables kept per file kind, keyed by (path, file text): the bundled
 # directory plus a few FEDSUST_DATA_DIR overrides in one process.
 _PARSE_CACHE_SIZE = 8
 _parse_cache = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -243,10 +269,6 @@ def _parse_float(path: str, line_no: int, column: str, text: str) -> float:
         ) from None
 
 
-def load_grid_intensity(path: str | Path) -> GridIntensityTable:
-    return _parse_grid_intensity(*_read(Path(path)))
-
-
 @_parse_cache
 def _parse_grid_intensity(path: str, text: str) -> GridIntensityTable:
     entries: dict[str, float] = {}
@@ -266,10 +288,6 @@ def _parse_grid_intensity(path: str, text: str) -> GridIntensityTable:
 _PP_FORMAT = "%.4g"
 
 
-def load_hardware(path: str | Path) -> HardwareTable:
-    return _parse_hardware(*_read(Path(path)))
-
-
 @_parse_cache
 def _parse_hardware(path: str, text: str) -> HardwareTable:
     profiles: dict[str, HardwareProfile] = {}
@@ -285,7 +303,10 @@ def _parse_hardware(path: str, text: str) -> HardwareTable:
         benchmark = _parse_float(path, line_no, "benchmark_mark", row[2])
         tdp = _parse_float(path, line_no, "tdp_watts", row[3])
         stored_pp = _parse_float(path, line_no, "power_performance", row[4])
-        derived = power_performance(benchmark, tdp)
+        try:
+            derived = power_performance(benchmark, tdp)
+        except ReferenceDataError as exc:
+            raise ReferenceDataError(f"{path}: row {line_no}, column 'power_performance': {exc}") from None
         if _PP_FORMAT % derived != _PP_FORMAT % stored_pp:
             raise ReferenceDataError(
                 f"{path}: row {line_no}, column 'power_performance': stored {stored_pp} "
@@ -300,14 +321,9 @@ def _parse_hardware(path: str, text: str) -> HardwareTable:
     return HardwareTable(profiles)
 
 
-def load_locations(path: str | Path) -> LocationResolver:
-    return _parse_locations(*_read(Path(path)))
-
-
 @_parse_cache
 def _parse_locations(path: str, text: str) -> LocationResolver:
-    prefixes: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    prefixes: dict[str, str] = {}  # lowercased prefix -> code, as the resolver matches them
     for line_no, row in _rows(path, text, ["prefix", "country_code"]):
         prefix = row[0].strip()
         code = row[1].strip().upper()
@@ -317,8 +333,7 @@ def _parse_locations(path: str, text: str) -> LocationResolver:
             raise ReferenceDataError(
                 f"{path}: row {line_no}, column 'country_code': {row[1]!r} is not an alpha-2 code"
             )
-        if prefix in seen:
+        if prefix.lower() in prefixes:
             raise ReferenceDataError(f"{path}: row {line_no}: duplicate prefix {prefix!r}")
-        seen.add(prefix)
-        prefixes.append((prefix, code))
-    return LocationResolver(prefixes)
+        prefixes[prefix.lower()] = code
+    return LocationResolver(list(prefixes.items()))

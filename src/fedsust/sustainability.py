@@ -1,4 +1,4 @@
-"""The ten sustainability metrics computed from a scenario plus reference data.
+"""The ten sustainability metrics computed from a scenario and its reference rows.
 
 Three notions make up the pillar:
 
@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .config import FederationConfig
-from .refdata import GridIntensityTable, HardwareTable, LocationResolver
+from .refdata import ResolvedFleet
 from .scoring import (
     CARBON_INTENSITY_RULE,
     COUNT_RULE,
@@ -82,26 +82,16 @@ class ComplexityAssessment(NamedTuple):
     model_size: float
 
 
-def assess_carbon(
-    config: FederationConfig, grid: GridIntensityTable, locations: LocationResolver
-) -> CarbonIntensityAssessment:
+def assess_carbon(fleet: ResolvedFleet) -> CarbonIntensityAssessment:
     """Share-weighted client grid intensity plus the server's grid intensity."""
-    client_avg = math.fsum(
-        share * grid.lookup_intensity(locations.resolve(loc, grid))
-        for share, loc in config.client_locations
-    )
-    server = grid.lookup_intensity(locations.resolve(config.server_location, grid))
-    return CarbonIntensityAssessment(client_avg=client_avg, server=server)
+    client_avg = math.fsum(share * intensity for share, intensity in fleet.client_intensity)
+    return CarbonIntensityAssessment(client_avg=client_avg, server=fleet.server_intensity)
 
 
-def assess_hardware(config: FederationConfig, hardware: HardwareTable) -> HardwareAssessment:
+def assess_hardware(fleet: ResolvedFleet) -> HardwareAssessment:
     """Share-weighted client performance per watt plus the server's."""
-    client_avg = math.fsum(
-        share * hardware.lookup(model).power_performance
-        for share, model in config.client_hardware
-    )
-    server = hardware.lookup(config.server_hardware).power_performance
-    return HardwareAssessment(client_avg_pp=client_avg, server_pp=server)
+    client_avg = math.fsum(share * profile.power_performance for share, profile in fleet.client_hardware)
+    return HardwareAssessment(client_avg_pp=client_avg, server_pp=fleet.server_hardware.power_performance)
 
 
 def assess_complexity(config: FederationConfig) -> ComplexityAssessment:

@@ -49,11 +49,8 @@ from test_fedsim import reference_sample
 
 
 def scored_pillar(config, tables):
-    node = build_sustainability_node(
-        assess_carbon(config, tables.grid, tables.locations),
-        assess_hardware(config, tables.hardware),
-        assess_complexity(config),
-    )
+    fleet = tables.resolve(config)
+    node = build_sustainability_node(assess_carbon(fleet), assess_hardware(fleet), assess_complexity(config))
     return aggregate(node, overrides=config.score_overrides)
 
 

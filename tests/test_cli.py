@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import golden
 from fedsust import cli, fedsim
 from fedsust.cli import main
+from fedsust.config import load_scenario
+from fedsust.refdata import HardwareTable, LocationResolver
 from fedsust.report import load_pillar_fixture
 
 
@@ -967,6 +970,61 @@ class TestCompare:
                            "--config", uc("proposal_b"), "--out", str(tmp_path))
         assert code == 1
         assert "--pillars" in err
+
+
+# ── reference rows ────────────────────────────────────────────────────────
+
+
+def test_each_mix_entry_is_looked_up_once(capsys, monkeypatch, tmp_path, scenario_dir, pillars):
+    calls = Counter()
+    for owner, name in ((LocationResolver, "resolve"), (HardwareTable, "lookup")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, value, *rest, _f=original, _n=name:
+                            calls.update([_n]) or _f(self, value, *rest))
+
+    def entries(*paths):  # each client mix entry plus the server field, on each side
+        configs = [load_scenario(path) for path in paths]
+        return {"resolve": sum(len(c.client_locations) + 1 for c in configs),
+                "lookup": sum(len(c.client_hardware) + 1 for c in configs)}
+
+    runs = [(command, [str(path)]) for path in sorted(scenario_dir.glob("*.json"))
+            for command in ("validate", "score", "simulate")]
+    runs.append(("compare", [str(scenario_dir / "uc_c.json"), str(scenario_dir / "proposal_b.json")]))
+    for command, paths in runs:
+        expected = entries(*paths)
+        calls.clear()
+        argv = [command, *(arg for path in paths for arg in ("--config", path)), "--out", str(tmp_path)]
+        code, _, err = run(capsys, *argv, *(["--pillars", pillars("proposal_a")] if command == "compare" else []))
+        assert (code, err) == (0, ""), argv
+        assert calls == expected, argv
+
+
+_BAD_REFERENCES = [("client_locations", "client-somewhere", "CH"), ("server_location", "server-somewhere", "CH"),
+                   ("client_hardware", "Client Chip 9000", "AMD FX-9590"),
+                   ("server_hardware", "Server Chip 9000", "AMD FX-9590")]
+
+
+@pytest.mark.parametrize("fixed", range(len(_BAD_REFERENCES)))
+def test_reference_misses_are_reported_in_order(capsys, tmp_path, uc, fixed):
+    # all four fields bad, the first ``fixed`` of them then set right: the first still bad is named
+    scenario = json.loads(Path(uc("uc_a")).read_text())
+    for i, (field, bad, good) in enumerate(_BAD_REFERENCES):
+        scenario[field] = good if i < fixed else bad
+    (tmp_path / "x.json").write_text(json.dumps(scenario))
+    for command in ("validate", "score", "simulate"):
+        code, _, err = run(capsys, command, "--config", str(tmp_path / "x.json"), "--out", str(tmp_path / "out"))
+        assert (code, len(err.splitlines())) == (2, 1)
+        assert err.startswith("error: reference-data:") and repr(_BAD_REFERENCES[fixed][1]) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_model_is_reported_before_an_unknown_override(capsys, tmp_path, uc):
+    scenario = json.loads(Path(uc("uc_a")).read_text())
+    scenario.update(client_hardware="Client Chip 9000", score_overrides={"sustainability.typo": 0.5})
+    (tmp_path / "x.json").write_text(json.dumps(scenario))
+    code, _, err = run(capsys, "validate", "--config", str(tmp_path / "x.json"))
+    assert code == 2
+    assert err.startswith("error: reference-data:") and "Client Chip 9000" in err and "typo" not in err
 
 
 # ── imports ───────────────────────────────────────────────────────────────

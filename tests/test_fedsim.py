@@ -464,7 +464,7 @@ class TestNodeIds:
         n = 20_000
         config = make_config(num_clients=n, sample_size=10, total_rounds=50, num_label_classes=10,
                              dataset_size=500, seed=3)
-        prices = price_fleet(config, tables)
+        prices = price_fleet(config, tables.resolve(config))
         gc.collect()
         tracemalloc.start()
         try:
@@ -646,7 +646,7 @@ _TOTALS_OVERFLOW = ({"comm_energy_per_byte": 4.9e296},
 class TestPriceFleet:
     def test_records_stay_immutable(self, tables):
         config = make_config(num_clients=5, sample_size=2, total_rounds=3)
-        prices = price_fleet(config, tables)
+        prices = price_fleet(config, tables.resolve(config))
         with pytest.raises(AttributeError):
             prices.train_s = 0.0
         clients = run_federation(config, prices=prices).clients
@@ -665,7 +665,7 @@ class TestPriceFleet:
             client_hardware=[_spelled(models[c % 3], c) for c in range(n)],
             client_locations=[f"node-eu-{c}" if c % 2 else f"node-za-{c}" for c in range(n)],
         )
-        prices = price_fleet(config, tables)
+        prices = price_fleet(config, tables.resolve(config))
         assert len(prices.client_hardware) == len(prices.client_locations) == n
         ch, za = tables.grid.lookup_intensity("CH"), tables.grid.lookup_intensity("ZA")
         energy = {tdp: estimate_energy(tdp, config.energy_model.effective_utilization(), prices.train_s)
@@ -691,7 +691,7 @@ class TestPriceFleet:
                               client_hardware=[_spelled("Intel Core i7-1250U", c % (n // 2)) for c in range(n)])
         assert len(spelled.client_hardware) == n // 2 and len(spelled.client_locations) == n
         plain = make_config(**fleet, client_hardware="Intel Core i7-1250U", client_locations="CH")
-        prices = price_fleet(spelled, tables)
+        prices = price_fleet(spelled, tables.resolve(spelled))
         assert len(prices.group_rows) == 1
         gc.collect()
         tracemalloc.start()
@@ -737,7 +737,7 @@ class TestPriceFleet:
     def test_overflowing_phase_is_a_config_error_naming_it(self, tables, energy_model, phase):
         config = make_config(model_size=10**9, energy_model=energy_model)
         with pytest.raises(ConfigError, match=f"the {phase} phase's .* not a finite float") as caught:
-            price_fleet(config, tables)
+            price_fleet(config, tables.resolve(config))
         run_total = energy_model in _TOTALS_OVERFLOW
         assert ("run total" in str(caught.value)) == run_total
         assert ("total_rounds" in str(caught.value)) == run_total

@@ -3,8 +3,11 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsust import refdata
+from fedsust.config import parse_config
 from fedsust.refdata import (
     GridIntensityTable,
     LocationResolver,
@@ -14,9 +17,6 @@ from fedsust.refdata import (
     UnknownHardwareError,
     UnresolvableLocationError,
     default_data_dir,
-    load_grid_intensity,
-    load_hardware,
-    load_locations,
     normalize_model_name,
     power_performance,
 )
@@ -95,6 +95,12 @@ class TestLocationResolution:
         assert tables.locations.resolve("203.0.113.128", tables.grid) == "XK"
         assert tables.locations.resolve("203.0.113.129", tables.grid) == "AL"
 
+    def test_prefix_matches_whatever_its_case(self, tables):
+        # hex digits of an IPv6 address are case-insensitive (RFC 4291, section 2.2)
+        assert tables.locations.resolve("2001:DB8:85a3::1", tables.grid) == "GM"
+        assert tables.locations.resolve("NODE-EU-7", tables.grid) == "CH"
+        assert LocationResolver([("Node-X", "ZA")]).resolve("node-x1", tables.grid) == "ZA"
+
     def test_unmatched_address_is_an_error_not_a_default(self, tables):
         with pytest.raises(UnresolvableLocationError, match="10.9.9.9"):
             tables.locations.resolve("10.9.9.9", tables.grid)
@@ -110,60 +116,75 @@ def write(path, text):
 
 class TestLoaderErrors:
     def test_grid_bad_number_reports_row_and_column(self, tmp_path):
-        p = write(tmp_path / "grid_intensity.csv",
+        p = write(data_copy(tmp_path / "data") / "grid_intensity.csv",
                   "country_code,intensity_gco2_per_kwh,source,comment\nCH,thirty-two,x,\n")
         with pytest.raises(ReferenceDataError, match=r"row 2.*intensity_gco2_per_kwh"):
-            load_grid_intensity(p)
+            ReferenceTables.load(p.parent)
 
     def test_grid_bad_code_reported(self, tmp_path):
-        p = write(tmp_path / "grid_intensity.csv",
+        p = write(data_copy(tmp_path / "data") / "grid_intensity.csv",
                   "country_code,intensity_gco2_per_kwh,source,comment\nCHE,32,x,\n")
         with pytest.raises(ReferenceDataError, match="row 2"):
-            load_grid_intensity(p)
+            ReferenceTables.load(p.parent)
 
     def test_grid_duplicate_code_rejected(self, tmp_path):
-        p = write(tmp_path / "grid_intensity.csv",
+        p = write(data_copy(tmp_path / "data") / "grid_intensity.csv",
                   "country_code,intensity_gco2_per_kwh,source,comment\nCH,32,x,\nCH,33,x,\n")
         with pytest.raises(ReferenceDataError, match="duplicate"):
-            load_grid_intensity(p)
+            ReferenceTables.load(p.parent)
 
     def test_grid_out_of_theoretical_bounds_rejected(self, tmp_path):
-        p = write(tmp_path / "grid_intensity.csv",
+        p = write(data_copy(tmp_path / "data") / "grid_intensity.csv",
                   "country_code,intensity_gco2_per_kwh,source,comment\nCH,900,x,\n")
         with pytest.raises(ReferenceDataError, match="900"):
-            load_grid_intensity(p)
+            ReferenceTables.load(p.parent)
 
     def test_grid_wrong_header_rejected(self, tmp_path):
-        p = write(tmp_path / "grid_intensity.csv", "code,value\nCH,32\n")
+        p = write(data_copy(tmp_path / "data") / "grid_intensity.csv", "code,value\nCH,32\n")
         with pytest.raises(ReferenceDataError, match="header"):
-            load_grid_intensity(p)
+            ReferenceTables.load(p.parent)
 
     def test_hardware_inconsistent_pp_reports_row(self, tmp_path):
-        p = write(tmp_path / "hardware.csv",
+        p = write(data_copy(tmp_path / "data") / "hardware.csv",
                   "model,kind,benchmark_mark,tdp_watts,power_performance\nX 1,CPU,1000,100,12\n")
         with pytest.raises(ReferenceDataError, match=r"row 2.*power_performance"):
-            load_hardware(p)
+            ReferenceTables.load(p.parent)
 
     def test_hardware_bad_kind_rejected(self, tmp_path):
-        p = write(tmp_path / "hardware.csv",
+        p = write(data_copy(tmp_path / "data") / "hardware.csv",
                   "model,kind,benchmark_mark,tdp_watts,power_performance\nX 1,TPU,1000,100,10\n")
         with pytest.raises(ReferenceDataError, match="row 2"):
-            load_hardware(p)
+            ReferenceTables.load(p.parent)
 
     def test_hardware_field_count_mismatch_reports_row(self, tmp_path):
-        p = write(tmp_path / "hardware.csv",
+        p = write(data_copy(tmp_path / "data") / "hardware.csv",
                   "model,kind,benchmark_mark,tdp_watts,power_performance\nX 1,CPU,1000\n")
         with pytest.raises(ReferenceDataError, match="row 2"):
-            load_hardware(p)
+            ReferenceTables.load(p.parent)
+
+    def test_hardware_overflowing_pp_reports_row(self, tmp_path):
+        # 1e300 / 1e-10 overflows: the stored and derived ratios would both format as inf
+        p = write(data_copy(tmp_path / "data") / "hardware.csv",
+                  "model,kind,benchmark_mark,tdp_watts,power_performance\nHuge Chip,CPU,1e300,1e-10,inf\n")
+        with pytest.raises(ReferenceDataError, match=r"hardware.csv: row 2, column 'power_performance'.*not a finite"):
+            ReferenceTables.load(p.parent)
+
+    def test_locations_prefixes_equal_but_for_case_rejected(self, tmp_path):
+        p = write(data_copy(tmp_path / "data") / "locations.csv",
+                  "prefix,country_code\nnode-eu-,CH\nNODE-EU-,ZA\n")
+        with pytest.raises(ReferenceDataError, match="row 3: duplicate prefix 'NODE-EU-'"):
+            ReferenceTables.load(p.parent)
 
     def test_locations_empty_prefix_rejected(self, tmp_path):
-        p = write(tmp_path / "locations.csv", "prefix,country_code\n ,CH\n")
+        p = write(data_copy(tmp_path / "data") / "locations.csv", "prefix,country_code\n ,CH\n")
         with pytest.raises(ReferenceDataError, match="row 2"):
-            load_locations(p)
+            ReferenceTables.load(p.parent)
 
     def test_missing_file_reported(self, tmp_path):
+        data = data_copy(tmp_path / "data")
+        (data / "grid_intensity.csv").unlink()
         with pytest.raises(ReferenceDataError, match="cannot read"):
-            load_grid_intensity(tmp_path / "nope.csv")
+            ReferenceTables.load(data)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ReferenceDataError):
@@ -198,6 +219,59 @@ def test_resolver_with_no_prefixes_still_passes_codes(tables):
     assert resolver.resolve("CH", tables.grid) == "CH"
     with pytest.raises(UnresolvableLocationError):
         resolver.resolve("somewhere", tables.grid)
+
+
+# ── a scenario resolved once ──────────────────────────────────────────────
+
+
+_BUNDLED = ReferenceTables.load()
+_CODES = sorted(code for code, _ in _BUNDLED.grid.items())
+_PREFIXES = ("192.0.2.", "198.51.100.", "203.0.113.", "203.0.113.128", "2001:db8:", "node-eu-", "node-za-")
+_MODELS = [profile.model for profile in _BUNDLED.hardware.profiles()]
+
+
+def _any_case(text):
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(text, upper)))
+
+
+# spellings like the benchmark's: codes in any case, prefixed addresses, models with extra whitespace
+_locations = st.one_of(
+    st.sampled_from(_CODES).flatmap(_any_case),
+    st.tuples(st.sampled_from(_PREFIXES).flatmap(_any_case), st.text("0123456789abcdef:.", max_size=6))
+    .map("".join),
+)
+_models = st.tuples(st.sampled_from(_MODELS).flatmap(_any_case), st.sampled_from((" ", "  ", "\t"))).map(
+    lambda drawn: f" {drawn[1].join(drawn[0].split())} ")
+
+
+@st.composite
+def _scenarios(draw):
+    def mix(values, key):
+        entries = draw(st.lists(values, min_size=1, max_size=5))
+        return [{"share": 1 / len(entries), key: value} for value in entries]
+
+    return parse_config({
+        "name": "drawn", "num_clients": 10, "total_rounds": 1, "selection_rate": 0.5,
+        "local_rounds": 1, "dataset_size": 10, "model_size": 1000,
+        "client_hardware": mix(_models, "model"), "client_locations": mix(_locations, "location"),
+        "server_hardware": draw(_models), "server_location": draw(_locations),
+    })
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(config=_scenarios())
+def test_resolve_agrees_with_each_entry_looked_up_alone(config):
+    grid, hardware, locations = _BUNDLED
+    fleet = _BUNDLED.resolve(config)
+    assert len(fleet.client_intensity) == len(config.client_locations)
+    for (share, intensity), (entry_share, value) in zip(fleet.client_intensity, config.client_locations):
+        assert (share, intensity) == (entry_share, grid.lookup_intensity(locations.resolve(value, grid)))
+    assert len(fleet.client_hardware) == len(config.client_hardware)
+    for (share, profile), (entry_share, model) in zip(fleet.client_hardware, config.client_hardware):
+        assert (share, profile) == (entry_share, hardware.lookup(model))
+    assert fleet.server_intensity == grid.lookup_intensity(locations.resolve(config.server_location, grid))
+    assert fleet.server_hardware == hardware.lookup(config.server_hardware)
 
 
 # ── parse cache: keyed by file contents ───────────────────────────────────

@@ -35,11 +35,8 @@ def make_config(**kwargs):
 
 
 def scored_pillar(config, tables):
-    node = build_sustainability_node(
-        assess_carbon(config, tables.grid, tables.locations),
-        assess_hardware(config, tables.hardware),
-        assess_complexity(config),
-    )
+    fleet = tables.resolve(config)
+    node = build_sustainability_node(assess_carbon(fleet), assess_hardware(fleet), assess_complexity(config))
     return aggregate(node, overrides=config.score_overrides)
 
 
@@ -53,8 +50,8 @@ def notion(scored, name):
 class TestCarbonAssessment:
     def test_assessments_are_immutable(self, tables):
         config = make_config()
-        for record in (assess_carbon(config, tables.grid, tables.locations),
-                       assess_hardware(config, tables.hardware), assess_complexity(config)):
+        fleet = tables.resolve(config)
+        for record in (assess_carbon(fleet), assess_hardware(fleet), assess_complexity(config)):
             with pytest.raises(AttributeError):
                 setattr(record, record._fields[0], 0.0)
 
@@ -64,25 +61,25 @@ class TestCarbonAssessment:
             client_locations=[{"share": 0.5, "location": "XK"}, {"share": 0.5, "location": "GM"}],
             server_location="ZA",
         )
-        carbon = assess_carbon(cfg, tables.grid, tables.locations)
+        carbon = assess_carbon(tables.resolve(cfg))
         assert carbon.client_avg == pytest.approx(734.5, abs=1e-9)
         assert carbon.server == 709
 
     def test_uniform_country_means_client_avg_equals_server(self, tables):
         cfg = make_config(client_locations="ZA", server_location="ZA")
-        carbon = assess_carbon(cfg, tables.grid, tables.locations)
+        carbon = assess_carbon(tables.resolve(cfg))
         assert carbon.client_avg == carbon.server == 709
 
     def test_equal_ch_za_mix_averages_to_370_5(self, tables):
         cfg = make_config(num_clients=2, client_locations=["CH", "ZA"])
-        carbon = assess_carbon(cfg, tables.grid, tables.locations)
+        carbon = assess_carbon(tables.resolve(cfg))
         assert carbon.client_avg == pytest.approx(370.5, abs=1e-9)
 
     def test_client_order_is_irrelevant(self, tables):
         a = make_config(num_clients=3, client_locations=["CH", "ZA", "GM"])
         b = make_config(num_clients=3, client_locations=["GM", "CH", "ZA"])
-        ca = assess_carbon(a, tables.grid, tables.locations)
-        cb = assess_carbon(b, tables.grid, tables.locations)
+        ca = assess_carbon(tables.resolve(a))
+        cb = assess_carbon(tables.resolve(b))
         assert ca.client_avg == pytest.approx(cb.client_avg, abs=1e-12)
 
     def test_adding_dirtier_client_raises_average(self, tables):
@@ -91,13 +88,13 @@ class TestCarbonAssessment:
         for _ in range(100):
             pool = rng.sample(codes, k=rng.randint(1, 5))
             cfg = make_config(num_clients=len(pool), client_locations=pool)
-            avg = assess_carbon(cfg, tables.grid, tables.locations).client_avg
+            avg = assess_carbon(tables.resolve(cfg)).client_avg
             dirtier = [c for c, v in tables.grid.items() if v > avg]
             if not dirtier:
                 continue
             extra = rng.choice(dirtier)
             cfg2 = make_config(num_clients=len(pool) + 1, client_locations=pool + [extra])
-            avg2 = assess_carbon(cfg2, tables.grid, tables.locations).client_avg
+            avg2 = assess_carbon(tables.resolve(cfg2)).client_avg
             assert avg2 > avg
 
     def test_unknown_location_propagates(self, tables):
@@ -105,7 +102,7 @@ class TestCarbonAssessment:
         from fedsust.refdata import UnresolvableLocationError
 
         with pytest.raises(UnresolvableLocationError):
-            assess_carbon(cfg, tables.grid, tables.locations)
+            assess_carbon(tables.resolve(cfg))
 
 
 # ── hardware efficiency ───────────────────────────────────────────────────
@@ -122,7 +119,7 @@ class TestHardwareAssessment:
             ],
             server_hardware="Intel Core i7-6800K",
         )
-        hw = assess_hardware(cfg, tables.hardware)
+        hw = assess_hardware(tables.resolve(cfg))
         # 0.4*100.24 + 0.35*71.69 + 0.25*105.21
         assert hw.client_avg_pp == pytest.approx(91.49, abs=1e-9)
         scored = scored_pillar(cfg, tables)
@@ -132,7 +129,7 @@ class TestHardwareAssessment:
 
     def test_uniform_fleet_equals_profile_exactly(self, tables):
         cfg = make_config(client_hardware="Intel Core i7-1250U")
-        hw = assess_hardware(cfg, tables.hardware)
+        hw = assess_hardware(tables.resolve(cfg))
         assert hw.client_avg_pp == tables.hardware.lookup("Intel Core i7-1250U").power_performance
         scored = scored_pillar(cfg, tables)
         assert scored.find("sustainability.hardware_efficiency.client").score == 1.0
@@ -142,7 +139,7 @@ class TestHardwareAssessment:
 
         cfg = make_config(client_hardware="Mystery Chip 3000")
         with pytest.raises(UnknownHardwareError, match="Mystery Chip 3000"):
-            assess_hardware(cfg, tables.hardware)
+            assess_hardware(tables.resolve(cfg))
 
 
 # ── federation complexity ─────────────────────────────────────────────────
